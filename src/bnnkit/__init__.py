@@ -2,7 +2,7 @@
 kernels over a channel-grouped layout, a graph runtime, converters, and a
 benchmark harness."""
 
-from .bitpack import PackedBits, binarize_bit, pack_naive, pack_signbits, unpack
+from .bitpack import pack_naive
 from .convert import (
     ConversionError,
     ConversionReport,
@@ -17,18 +17,14 @@ from .convert import (
 )
 from .kernels import (
     BinMatrix,
-    BitVec,
     ConvParams,
     MAX_GROUPS_PER_DOT,
-    addv,
     bgemm,
     bgemm_no_addv,
     binary_direct_conv,
     binary_direct_conv_counts,
-    cnt_bytes,
     im2col_packed,
     match_to_dot,
-    xnor_vec,
 )
 from .layout import (
     FloatTensor,

@@ -1,121 +1,28 @@
-"""Sign-bit packing of float sequences into dense little-endian bit vectors.
+"""Sequential sign-bit packing: the baseline of the ``packing`` benchmark.
 
-Binarization keeps only the raw IEEE-754 sign bit of each float32 value, so
--0.0 and NaN with a set sign bit binarize to 1.  Logical reading: bit 1 is
-the value -1, bit 0 is the value +1.  Bit i of a packed stream lives in word
-i // 64 at position i % 64; unused trailing bits of the last word are 0.
-
-Two packing strategies produce byte-identical output.  ``pack_naive`` is the
-sequential baseline, handling one element per step.  ``pack_signbits``
-gathers many sign bits per step through a shift-and-insert merge tree and is
-the strategy meant for real workloads.
+``pack_naive`` handles one element per step.  Its output is the byte stream
+the runtime packer ``layout.pack_to_nc1hwc2`` produces when one channel
+group spans all channels (c2 == c), so the benchmark times the two against
+each other after checking that their bytes agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["PackedBits", "binarize_bit", "pack_naive", "pack_signbits", "unpack"]
-
-WORD_BITS = 64
+__all__ = ["pack_naive"]
 
 
-@dataclass(frozen=True, eq=False)
-class PackedBits:
-    """ceil(logical_len / 64) little-endian uint64 words of packed sign bits."""
-
-    words: np.ndarray
-    logical_len: int
-
-    def __post_init__(self) -> None:
-        words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        words.setflags(write=False)
-        object.__setattr__(self, "words", words)
-        if self.logical_len < 0:
-            raise ValueError("logical_len must be non-negative")
-        nwords = (self.logical_len + WORD_BITS - 1) // WORD_BITS
-        if words.shape != (nwords,):
-            raise ValueError("word count does not match logical_len")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedBits):
-            return NotImplemented
-        return self.logical_len == other.logical_len and bool(
-            np.array_equal(self.words, other.words)
-        )
-
-    def to_bytes(self) -> bytes:
-        """Little-endian byte serialization of the words."""
-        return self.words.astype("<u8", copy=False).tobytes()
-
-
-def _f32_bits(values) -> np.ndarray:
-    """uint32 bit patterns of the input interpreted as float32, flattened."""
-    arr = np.ascontiguousarray(values, dtype=np.float32).reshape(-1)
-    return arr.view(np.uint32)
-
-
-def binarize_bit(x) -> int:
-    """Raw sign bit of ``x`` as a float32: 1 for a set sign bit, else 0.
-
-    This follows the bit pattern rather than an ordering comparison, so
-    -0.0 and negatively signed NaN both return 1.
-    """
-    return int(np.float32(x).view(np.uint32) >> np.uint32(31))
-
-
-def pack_naive(values) -> PackedBits:
+def pack_naive(values) -> np.ndarray:
     """Pack one element per step; bit i of the result is the sign bit of values[i].
 
-    Deliberately sequential: each step takes one element's bit pattern,
-    extracts its sign, and inserts it at the target position.  Serves as the
-    baseline the gathering strategy is benchmarked against.
+    Returns ceil(n / 8) uint8 bytes with bit i in byte i // 8 at position
+    i % 8; unused trailing bits of the last byte are 0.  Deliberately
+    sequential: each step takes one float32 bit pattern, extracts its sign
+    and inserts it at the target position.
     """
-    raw = _f32_bits(values)
-    n = int(raw.size)
-    words = [0] * ((n + WORD_BITS - 1) // WORD_BITS)
+    raw = np.ascontiguousarray(values, dtype=np.float32).reshape(-1).view(np.uint32)
+    out = [0] * ((raw.size + 7) // 8)
     for i, pattern in enumerate(raw.tolist()):
-        words[i >> 6] |= (pattern >> 31) << (i & 63)
-    return PackedBits(np.array(words, dtype=np.uint64), n)
-
-
-def pack_signbits(values) -> PackedBits:
-    """Pack by gathering many sign bits per step.
-
-    Word-level analogue of a SIMD shift-and-insert tree: all sign bits are
-    pulled out in bulk, then merged pairwise into ever wider runs (pairs,
-    quadruples, ... up to full 64-bit words) with one doubling shift per
-    level.  The last level combines four independent accumulator chains in a
-    balanced tree, so no merge step consumes the result of the immediately
-    preceding one.  Output is byte-identical to ``pack_naive``.
-    """
-    raw = _f32_bits(values)
-    n = int(raw.size)
-    nwords = (n + WORD_BITS - 1) // WORD_BITS
-    if nwords == 0:
-        return PackedBits(np.zeros(0, dtype=np.uint64), 0)
-    lanes = np.zeros((nwords, WORD_BITS), dtype=np.uint64)
-    lanes.reshape(-1)[:n] = raw >> np.uint32(31)
-    streams = [lanes[:, j] for j in range(WORD_BITS)]
-    shift = 1
-    while len(streams) > 4:
-        streams = [
-            streams[j] | (streams[j + 1] << np.uint64(shift))
-            for j in range(0, len(streams), 2)
-        ]
-        shift *= 2
-    q0, q1, q2, q3 = streams  # 16 bits each, at word positions 0/16/32/48
-    lo = q0 | (q1 << np.uint64(16))
-    hi = q2 | (q3 << np.uint64(16))
-    return PackedBits(lo | (hi << np.uint64(32)), n)
-
-
-def unpack(p: PackedBits) -> np.ndarray:
-    """Logical values of the packed bits: int8 array, bit 1 -> -1, bit 0 -> +1."""
-    if p.logical_len == 0:
-        return np.zeros(0, dtype=np.int8)
-    raw = np.frombuffer(p.to_bytes(), dtype=np.uint8)
-    bits = np.unpackbits(raw, count=p.logical_len, bitorder="little")
-    return (1 - 2 * bits.astype(np.int8)).astype(np.int8)
+        out[i >> 3] |= (pattern >> 31) << (i & 7)
+    return np.array(out, dtype=np.uint8)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitpack import pack_naive, pack_signbits
+from .bitpack import pack_naive
 from .convert import ConversionError, ConvertOptions, convert_model, parse_interchange
 from .kernels import (
     ConvParams,
@@ -144,15 +144,17 @@ def _record_variants(suite, case, variants, repeat) -> list[BenchRecord]:
 
 
 def _bench_packing(rng, sizes, repeat) -> list[BenchRecord]:
+    """Sequential baseline against the runtime packer with one group of c2 = c bits."""
     records = []
     for spatial, channels in sizes:
         case = f"{spatial}x{spatial}x{channels}"
-        values = rng.standard_normal(spatial * spatial * channels).astype(np.float32)
-        if pack_naive(values) != pack_signbits(values):
+        values = rng.standard_normal((1, spatial, spatial, channels)).astype(np.float32)
+        tensor = FloatTensor.from_array(values, Layout.NHWC)
+        if pack_naive(values).tobytes() != pack_to_nc1hwc2(tensor, channels).data.tobytes():
             raise CrossCheckError(f"packing cross-check failed for {case}")
         variants = [
             ("naive", lambda v=values: pack_naive(v)),
-            ("signbit_gather", lambda v=values: pack_signbits(v)),
+            ("nc1hwc2", lambda t=tensor, c=channels: pack_to_nc1hwc2(t, c)),
         ]
         records.extend(_record_variants("packing", case, variants, repeat))
     return records

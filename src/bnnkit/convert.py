@@ -21,7 +21,15 @@ import numpy as np
 
 from . import floatops
 from .kernels import BinMatrix
-from .layout import check_group_bits, group_count
+from .layout import (
+    FloatTensor,
+    Layout,
+    PackedTensor,
+    check_group_bits,
+    group_count,
+    pack_to_nc1hwc2,
+    unpack_from_nc1hwc2,
+)
 from .runtime import (
     Graph,
     GraphError,
@@ -237,33 +245,27 @@ def detect_binary_convs(g: InterchangeGraph) -> set[str]:
 def pack_conv_weight(values: np.ndarray, c2: int = 128) -> PackedWeight:
     """Pack an (out, in, kh, kw) ±-signed filter bank into per-filter bit rows.
 
-    Row m enumerates taps kernel-row major, then kernel column, then channel
-    group: exactly the order im2col produces columns.  Channel pad bits are 0.
+    The bank is packed as an NCHW tensor, then row m is reordered to walk
+    taps kernel-row major, then kernel column, then channel group: exactly
+    the order im2col produces columns.
     """
-    c2 = check_group_bits(c2)
-    w = np.ascontiguousarray(values, dtype=np.float32)
+    w = np.asarray(values, dtype=np.float32)
     if w.ndim != 4:
         raise ValueError("expected (out, in, kh, kw) weights")
     m, c, kh, kw = w.shape
-    c1 = group_count(c, c2)
-    sign = (w.view(np.uint32) >> np.uint32(31)).astype(np.uint8)
-    sign = np.ascontiguousarray(sign.transpose(0, 2, 3, 1))  # (m, kh, kw, c)
-    if c1 * c2 != c:
-        pad = np.zeros((m, kh, kw, c1 * c2 - c), np.uint8)
-        sign = np.concatenate([sign, pad], axis=-1)
-    rows = sign.reshape(m, kh * kw * c1, c2)
-    data = np.packbits(rows, axis=-1, bitorder="little")
-    return PackedWeight((m, c, kh, kw), c2, BinMatrix(m, kh * kw * c1, c2, data))
+    packed = pack_to_nc1hwc2(FloatTensor.from_array(w, Layout.NCHW), c2)
+    k = kh * kw * packed.c1
+    rows = packed.data.transpose(0, 2, 3, 1, 4).reshape(m, k, packed.c2 // 8)
+    return PackedWeight((m, c, kh, kw), packed.c2, BinMatrix(m, k, packed.c2, rows))
 
 
 def unpack_conv_weight(weight: PackedWeight) -> np.ndarray:
     """Recover the ±1 float32 (out, in, kh, kw) filter bank from packed rows."""
     m, c, kh, kw = weight.dims
     c1 = group_count(c, weight.c2)
-    bits = np.unpackbits(weight.matrix.data, axis=-1, count=weight.c2, bitorder="little")
-    bits = bits.reshape(m, kh, kw, c1 * weight.c2)[..., :c]
-    values = np.where(bits, np.float32(-1.0), np.float32(1.0))
-    return np.ascontiguousarray(values.transpose(0, 3, 1, 2))
+    groups = weight.matrix.data.reshape(m, kh, kw, c1, weight.c2 // 8)
+    packed = PackedTensor(weight.dims, weight.c2, groups.transpose(0, 3, 1, 2, 4))
+    return unpack_from_nc1hwc2(packed).nhwc_array().transpose(0, 3, 1, 2).copy()
 
 
 @dataclass(frozen=True)

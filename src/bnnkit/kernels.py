@@ -1,6 +1,5 @@
-"""Binary convolution arithmetic: xnor/cnt/addv primitives, bit-matrix
-multiplication, packed im2col, and direct convolution with a deferred
-byte-sum reduction.
+"""Binary convolution arithmetic: bit-matrix multiplication, packed im2col,
+and direct convolution with a deferred byte-sum reduction.
 
 All binary dot products are computed as "match counts": the number of bit
 positions on which two packed vectors agree (popcount of their xnor).
@@ -18,13 +17,9 @@ import numpy as np
 from .layout import FloatTensor, Layout, PackedTensor, group_count
 
 __all__ = [
-    "BitVec",
     "BinMatrix",
     "ConvParams",
     "MAX_GROUPS_PER_DOT",
-    "xnor_vec",
-    "cnt_bytes",
-    "addv",
     "bgemm",
     "bgemm_no_addv",
     "im2col_packed",
@@ -40,78 +35,6 @@ MAX_GROUPS_PER_DOT = (2**16 - 1) // 8
 # Filters processed together in the direct convolution; the k walk restarts
 # per block so the working set stays small.
 OUTPUT_CHANNEL_BLOCK = 32
-
-
-@dataclass(frozen=True, eq=False)
-class BitVec:
-    """A width-bit vector stored little-endian in ceil(width / 8) bytes.
-
-    Bits at positions >= width (the pad bits of the last byte) must be 0.
-    """
-
-    data: np.ndarray
-    width: int
-
-    def __post_init__(self) -> None:
-        width = int(self.width)
-        if width < 0:
-            raise ValueError("width must be non-negative")
-        data = np.ascontiguousarray(self.data, dtype=np.uint8)
-        if data.shape != ((width + 7) // 8,):
-            raise ValueError("byte count does not match width")
-        rem = width % 8
-        if rem and int(data[-1]) >> rem:
-            raise ValueError("pad bits must be 0")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "width", width)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        return self.width == other.width and self.data.tobytes() == other.data.tobytes()
-
-    @classmethod
-    def from_int(cls, value: int, width: int) -> "BitVec":
-        if value < 0 or value >> width:
-            raise ValueError("value does not fit in width")
-        nbytes = (width + 7) // 8
-        data = np.frombuffer(value.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return cls(data, width)
-
-    def to_int(self) -> int:
-        return int.from_bytes(self.data.tobytes(), "little")
-
-
-def xnor_vec(a: BitVec, b: BitVec) -> BitVec:
-    """Bitwise NOT(a XOR b): 1 exactly where the operands agree."""
-    if a.width != b.width:
-        raise ValueError("width mismatch")
-    out = np.bitwise_not(np.bitwise_xor(a.data, b.data))
-    rem = a.width % 8
-    if rem:
-        out[-1] &= (1 << rem) - 1
-    return BitVec(out, a.width)
-
-
-def cnt_bytes(v) -> np.ndarray:
-    """Per-byte population count; each output byte is in [0, 8].
-
-    Accepts a ``BitVec`` whose width is a multiple of 8, or any uint8 byte
-    sequence.
-    """
-    if isinstance(v, BitVec):
-        if v.width % 8:
-            raise ValueError("width must be a multiple of 8")
-        v = v.data
-    return np.bitwise_count(np.ascontiguousarray(v, dtype=np.uint8))
-
-
-def addv(v) -> int:
-    """Sum of all bytes of a vector, as a plain integer."""
-    if isinstance(v, BitVec):
-        v = v.data
-    return int(np.ascontiguousarray(v, dtype=np.uint8).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,25 +73,6 @@ class BinMatrix:
             == (other.rows, other.cols, other.vec_bits)
             and self.data.tobytes() == other.data.tobytes()
         )
-
-    @classmethod
-    def from_ints(cls, grid, vec_bits: int) -> "BinMatrix":
-        """Build from a nested sequence of ints, one per vector."""
-        grid = [list(row) for row in grid]
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
-        nbytes = (int(vec_bits) + 7) // 8
-        data = np.zeros((rows, cols, nbytes), np.uint8)
-        for i, row in enumerate(grid):
-            if len(row) != cols:
-                raise ValueError("ragged grid")
-            for k, value in enumerate(row):
-                raw = int(value).to_bytes(nbytes, "little")
-                data[i, k] = np.frombuffer(raw, dtype=np.uint8)
-        return cls(rows, cols, vec_bits, data)
-
-    def vec(self, i: int, k: int) -> BitVec:
-        return BitVec(self.data[i, k], self.vec_bits)
 
 
 @dataclass(frozen=True)

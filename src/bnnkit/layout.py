@@ -7,6 +7,9 @@ c2 bits each, stored in (n, c1, h, w, c2-bit group) order, so one
 contiguous group holds all channels of a group at a fixed spatial position
 and a spatial window walk touches whole groups.  Channel slots past c in
 the last group are pad bits and are always 0 (logical +1).
+
+Activations and filter banks are both packed by ``pack_to_nc1hwc2``;
+``check_pad_bits`` guards packed data that arrives from outside.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "FloatTensor",
     "PackedTensor",
     "check_group_bits",
+    "check_pad_bits",
     "group_count",
     "index_nc1hwc2",
     "convert_layout",
@@ -45,6 +49,22 @@ def check_group_bits(c2: int) -> int:
 def group_count(c: int, c2: int) -> int:
     """Number of c2-bit channel groups covering c channels."""
     return -(-int(c) // int(c2))
+
+
+def check_pad_bits(groups: np.ndarray, c: int) -> None:
+    """Reject packed groups whose channel pad bits are not all 0.
+
+    ``groups`` has shape (..., c1, c2 // 8): the channel group on the
+    second-to-last axis, its bytes on the last.  Slots past channel c in the
+    last group are pad bits, which the match-count correction assumes are 0.
+    """
+    c1, nbytes = groups.shape[-2:]
+    used = int(c) - (c1 - 1) * nbytes * 8
+    if groups.size == 0 or used == nbytes * 8:
+        return
+    pad_mask = np.packbits(np.arange(nbytes * 8) >= used, bitorder="little")
+    if np.any(groups[..., -1, :] & pad_mask):
+        raise ValueError("channel pad bits must be 0")
 
 
 @dataclass(frozen=True, eq=False)

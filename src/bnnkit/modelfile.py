@@ -13,7 +13,8 @@ initializer: name index, kind (0 float / 1 packed), extents, the group
 width for packed weights, then the raw payload.
 
 Serialization is canonical: saving, loading and saving again reproduces
-the file byte for byte.
+the file byte for byte.  Loading raises ``ModelFormatError`` for names that
+are not UTF-8, repeated initializer names and nonzero channel pad bits.
 """
 
 from __future__ import annotations
@@ -234,7 +235,11 @@ def _read_initializer(r: _Reader) -> tuple[int, Initializer]:
         k = kh * kw * group_count(c, c2)
         raw = r.take(m * k * (c2 // 8))
         data = np.frombuffer(raw, dtype=np.uint8).reshape(m, k, c2 // 8)
-        return name_idx, PackedWeight((m, c, kh, kw), c2, BinMatrix(m, k, c2, data))
+        try:
+            weight = PackedWeight((m, c, kh, kw), c2, BinMatrix(m, k, c2, data))
+        except ValueError as exc:
+            raise ModelFormatError(f"invalid packed initializer: {exc}") from exc
+        return name_idx, weight
     raise ModelFormatError(f"unknown initializer kind {kind}")
 
 
@@ -276,7 +281,10 @@ def deserialize_model(data: bytes) -> PackedModel:
     output_idx = g.u32()
     strings = []
     for _ in range(g.u32()):
-        strings.append(g.take(g.u32()).decode("utf-8"))
+        try:
+            strings.append(g.take(g.u32()).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError("string table entry is not valid UTF-8") from exc
     if not g.exhausted:
         raise ModelFormatError("malformed graph section")
 
@@ -289,7 +297,10 @@ def deserialize_model(data: bytes) -> PackedModel:
     initializers: dict[str, Initializer] = {}
     for _ in range(w.u32()):
         name_idx, init = _read_initializer(w)
-        initializers[name(name_idx)] = init
+        key = name(name_idx)
+        if key in initializers:
+            raise ModelFormatError(f"duplicate initializer '{key}'")
+        initializers[key] = init
     if not w.exhausted:
         raise ModelFormatError("malformed weight section")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import floatops
 from .kernels import BinMatrix, ConvParams, binary_direct_conv
-from .layout import FloatTensor, Layout, group_count, pack_to_nc1hwc2
+from .layout import FloatTensor, Layout, check_pad_bits, group_count, pack_to_nc1hwc2
 
 __all__ = [
     "GraphError",
@@ -96,7 +96,7 @@ class PackedWeight:
 
     ``matrix`` row m holds the kh*kw*c1 packed vectors of filter m in the
     same order im2col produces columns: kernel-row major, then kernel
-    column, then channel group.
+    column, then channel group.  Channel pad bits must be 0.
     """
 
     dims: tuple[int, int, int, int]  # (out_channels, in_channels, kh, kw)
@@ -106,13 +106,14 @@ class PackedWeight:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         m, c, kh, kw = self.dims
-        k = kh * kw * group_count(c, self.c2)
+        c1 = group_count(c, self.c2)
         if (
             self.matrix.rows != m
-            or self.matrix.cols != k
+            or self.matrix.cols != kh * kw * c1
             or self.matrix.vec_bits != self.c2
         ):
             raise ValueError("matrix extents do not match dims")
+        check_pad_bits(self.matrix.data.reshape(m, kh * kw, c1, self.c2 // 8), c)
 
 
 Initializer = Union[np.ndarray, PackedWeight]

@@ -36,6 +36,14 @@ def packed_bit(p: PackedTensor, group: int, bit: int) -> int:
     return (int(flat[group, bit // 8]) >> (bit % 8)) & 1
 
 
+def bin_matrix(grid, vec_bits: int) -> BinMatrix:
+    """BinMatrix from a nested list of ints, one little-endian vector each."""
+    nbytes = vec_bits // 8
+    raw = [[int(v).to_bytes(nbytes, "little") for v in row] for row in grid]
+    data = np.frombuffer(b"".join(b"".join(row) for row in raw), dtype=np.uint8)
+    return BinMatrix(len(raw), len(raw[0]), vec_bits, data.reshape(len(raw), -1, nbytes))
+
+
 def bgemm_oracle(a: BinMatrix, b: BinMatrix) -> np.ndarray:
     """Triple-loop match-count matrix product over Python ints."""
     mask = (1 << a.vec_bits) - 1
@@ -44,8 +52,8 @@ def bgemm_oracle(a: BinMatrix, b: BinMatrix) -> np.ndarray:
         for j in range(b.cols):
             total = 0
             for k in range(a.cols):
-                av = a.vec(i, k).to_int()
-                bv = b.vec(k, j).to_int()
+                av = int.from_bytes(a.data[i, k].tobytes(), "little")
+                bv = int.from_bytes(b.data[k, j].tobytes(), "little")
                 total += popcount(~(av ^ bv) & mask)
             out[i, j] = total
     return out

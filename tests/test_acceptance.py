@@ -18,7 +18,7 @@ import numpy as np
 
 import conftest
 import refeval
-from bnnkit.bitpack import pack_naive, pack_signbits
+from bnnkit.bitpack import pack_naive
 from bnnkit.cli import main as cli_main
 from bnnkit.convert import (
     ConvertOptions,
@@ -29,17 +29,18 @@ from bnnkit.convert import (
 )
 from bnnkit.floatops import oracle_binary_conv
 from bnnkit.kernels import (
-    BitVec,
-    addv,
+    BinMatrix,
+    ConvParams,
     bgemm,
     binary_direct_conv,
-    cnt_bytes,
+    binary_direct_conv_counts,
     im2col_packed,
     match_to_dot,
 )
 from bnnkit.layout import (
     FloatTensor,
     Layout,
+    PackedTensor,
     group_count,
     index_nc1hwc2,
     pack_to_nc1hwc2,
@@ -161,7 +162,9 @@ def test_gemm_path_equals_direct_conv():
 
 
 def test_packing_agreement_and_popcount():
-    with criterion("naive and merge-tree packers agree on 10000 slices; addv = popcount"):
+    with criterion(
+        "naive and runtime packers agree on 10000 slices; deferred reduction = popcount"
+    ):
         gen = np.random.default_rng(3003)
         pool = np.array(
             [0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45], dtype=np.float32
@@ -174,15 +177,21 @@ def test_packing_agreement_and_popcount():
             if length:
                 spots = gen.integers(0, length, size=max(1, int(length) // 16))
                 values[spots] = gen.choice(pool, size=len(spots))
-            a = pack_naive(values)
-            b = pack_signbits(values)
-            assert a == b
-            assert a.to_bytes() == b.to_bytes()
+            # the slice is the channel axis of one position, in a single group
+            t = FloatTensor((1, int(length), 1, 1), Layout.NCHW, values)
+            c2 = max(8, -(-int(length) // 8) * 8)
+            assert pack_naive(values).tobytes() == pack_to_nc1hwc2(t, c2).data.tobytes()
         for _ in range(1000):
             nbytes = int(gen.integers(1, 65))
             raw = gen.integers(0, 256, size=nbytes, dtype=np.uint8)
-            vec = BitVec(raw, nbytes * 8)
-            assert addv(cnt_bytes(vec)) == refeval.popcount(vec.to_int())
+            filt = gen.integers(0, 256, size=nbytes, dtype=np.uint8)
+            c = nbytes * 8
+            x = PackedTensor((1, c, 1, 1), c, raw.reshape(1, 1, 1, 1, nbytes))
+            w = BinMatrix(1, 1, c, filt.reshape(1, 1, nbytes))
+            counts = binary_direct_conv_counts(x, w, ConvParams(kernel=(1, 1), channels=c))
+            a = int.from_bytes(raw.tobytes(), "little")
+            b = int.from_bytes(filt.tobytes(), "little")
+            assert int(counts[0, 0, 0]) == refeval.popcount(~(a ^ b) & ((1 << c) - 1))
 
 
 def test_layout_round_trip_and_indexing():
@@ -345,7 +354,10 @@ def test_bench_csv_schema_and_cross_check(capsys, monkeypatch):
                 assert fields[0] == suite
                 assert int(fields[3]) >= 0
                 float(fields[4])
-        monkeypatch.setattr("bnnkit.cli.pack_signbits", lambda v: pack_naive(-v))
+        monkeypatch.setattr(
+            "bnnkit.cli.pack_to_nc1hwc2",
+            lambda t, c2: pack_to_nc1hwc2(FloatTensor(t.dims, t.layout, -t.data), c2),
+        )
         code = cli_main(["bench", "--suite", "packing", "--sizes", "small", "--repeat", "1"])
         assert code == 1
         assert "cross-check" in capsys.readouterr().err

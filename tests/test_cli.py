@@ -3,13 +3,17 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bnnkit.cli
+import bnnkit.runtime
 from bnnkit.cli import main
-from bnnkit.layout import FloatTensor, Layout
+from bnnkit.layout import FloatTensor, Layout, PackedTensor
+from bnnkit.modelfile import load_model
 from bnnkit.runtime import Graph, GraphInput, Node, OpKind, PackedModel
 from bnnkit.tensorio import TensorFileError, read_tensor, write_tensor
 
@@ -182,6 +186,17 @@ class TestRunCommand:
         assert main(["run", str(converted), str(xpath)]) == 1
         assert "bad model file" in capsys.readouterr().err
 
+    def test_undecodable_name_exit_1(self, tmp_path, converted, capsys):
+        name = load_model(converted).graph.nodes[0].name.encode()
+        raw = bytearray(converted.read_bytes())
+        raw[raw.index(struct.pack("<I", len(name)) + name) + 4] = 0xFF
+        body = bytes(raw[:-4])
+        converted.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        xpath = tmp_path / "x.bin"
+        write_tensor(xpath, input_tensor())
+        assert main(["run", str(converted), str(xpath)]) == 1
+        assert "bad model file" in capsys.readouterr().err
+
     def test_missing_model_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "no.dabn"), str(tmp_path / "no.bin")]) == 2
 
@@ -195,10 +210,13 @@ class TestBenchCommand:
         assert cases == {"8x8x16", "8x8x64", "16x16x32"}
         for suite, case, variant, median, ratio in rows:
             assert suite == "packing"
-            assert variant in {"naive", "signbit_gather"}
+            assert variant in {"naive", "nc1hwc2"}
             assert median > 0
             if variant == "naive":
                 assert ratio == 1.0  # baseline compares to itself
+
+    def test_packing_times_the_runtime_packer(self):
+        assert bnnkit.cli.pack_to_nc1hwc2 is bnnkit.runtime.pack_to_nc1hwc2
 
     def test_conv_suite_csv(self, capsys):
         assert main(["bench", "--suite", "conv", "--sizes", "small", "--repeat", "1"]) == 0
@@ -241,12 +259,10 @@ class TestBenchCommand:
         parse_csv(capsys.readouterr().out)
 
     def test_cross_check_failure_exit_1(self, capsys, monkeypatch):
-        from bnnkit.bitpack import PackedBits
+        def broken(t, c2):
+            return PackedTensor(t.dims, c2, np.zeros((1, 1, *t.dims[2:], c2 // 8), np.uint8))
 
-        def broken(values):
-            return PackedBits(np.zeros(1, np.uint64), 64)
-
-        monkeypatch.setattr("bnnkit.cli.pack_signbits", broken)
+        monkeypatch.setattr("bnnkit.cli.pack_to_nc1hwc2", broken)
         assert main(["bench", "--suite", "packing", "--sizes", "small", "--repeat", "1"]) == 1
         assert "cross-check failed" in capsys.readouterr().err
 

@@ -8,19 +8,22 @@ from bnnkit.floatops import oracle_binary_conv
 from bnnkit.kernels import (
     MAX_GROUPS_PER_DOT,
     BinMatrix,
-    BitVec,
     ConvParams,
-    addv,
     bgemm,
     bgemm_no_addv,
     binary_direct_conv,
     binary_direct_conv_counts,
-    cnt_bytes,
     im2col_packed,
     match_to_dot,
-    xnor_vec,
 )
-from bnnkit.layout import FloatTensor, Layout, pack_to_nc1hwc2
+from bnnkit.layout import (
+    FloatTensor,
+    Layout,
+    PackedTensor,
+    check_pad_bits,
+    pack_to_nc1hwc2,
+)
+from bnnkit.runtime import PackedWeight
 
 
 def bytes_matrix(rng, rows, cols, vec_bits):
@@ -28,107 +31,125 @@ def bytes_matrix(rng, rows, cols, vec_bits):
     return BinMatrix(rows, cols, vec_bits, data)
 
 
+def match_count(a, b, c2=None) -> int:
+    """Matches between two packed vectors, as the direct conv computes them.
+
+    The vectors are one input position and one 1x1 filter of len(a) * 8
+    channels, split into groups of c2 bits (default: a single group).
+    """
+    a = np.asarray(a, np.uint8)
+    c = a.size * 8
+    c2 = c2 or c
+    x = PackedTensor((1, c, 1, 1), c2, a.reshape(1, c // c2, 1, 1, c2 // 8))
+    w = BinMatrix(1, c // c2, c2, np.asarray(b, np.uint8).reshape(1, -1, c2 // 8))
+    counts = binary_direct_conv_counts(x, w, ConvParams(kernel=(1, 1), channels=c))
+    return int(counts[0, 0, 0])
+
+
 class TestBitVec:
-    def test_from_int_round_trip(self):
-        v = BitVec.from_int(0b1011, 4)
-        assert v.to_int() == 0b1011
-        assert v.width == 4
+    """Channel pad bits of packed vectors must stay 0."""
 
     def test_value_must_fit(self):
-        with pytest.raises(ValueError):
-            BitVec.from_int(0b10000, 4)
+        groups = np.array([[0b0111]], np.uint8)  # one 8-bit group, 3 channels
+        check_pad_bits(groups, 3)
+        with pytest.raises(ValueError, match="pad bits"):
+            check_pad_bits(groups | 0b1000, 3)
 
     def test_pad_bits_must_be_zero(self):
-        with pytest.raises(ValueError):
-            BitVec(np.array([0b1111], np.uint8), 3)
+        data = np.zeros((1, 2, 1), np.uint8)  # 1x2 kernel, 3 channels, c2 = 8
+        PackedWeight((1, 3, 1, 2), 8, BinMatrix(1, 2, 8, data.copy()))
+        data[0, 1, 0] = 0x80
+        with pytest.raises(ValueError, match="pad bits"):
+            PackedWeight((1, 3, 1, 2), 8, BinMatrix(1, 2, 8, data))
 
 
 class TestXnor:
+    """The kernel's xnor step: a match count agrees bit by bit."""
+
     def test_worked_example(self):
-        a = BitVec.from_int(0b1100, 4)
-        b = BitVec.from_int(0b1010, 4)
-        assert xnor_vec(a, b).to_int() == 0b1001
+        assert match_count([0b11001100], [0b10101010]) == 4
 
     def test_self_is_all_ones(self):
-        a = BitVec.from_int(0b0110, 4)
-        assert xnor_vec(a, a).to_int() == 0b1111
+        assert match_count([0b01100110] * 2, [0b01100110] * 2) == 16
 
     def test_complement_is_all_zeros(self):
-        a = BitVec.from_int(0b0110, 4)
-        b = BitVec.from_int(0b1001, 4)
-        assert xnor_vec(a, b).to_int() == 0
+        assert match_count([0b01100110], [0b10011001]) == 0
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width mismatch"):
-            xnor_vec(BitVec.from_int(1, 4), BitVec.from_int(1, 5))
+        # a 16-bit input group against 8-bit filter vectors
+        x = PackedTensor((1, 16, 1, 1), 16, np.zeros((1, 1, 1, 1, 2), np.uint8))
+        w = BinMatrix(1, 2, 8, np.zeros((1, 2, 1), np.uint8))
+        with pytest.raises(ValueError, match="group width mismatch"):
+            binary_direct_conv_counts(x, w, ConvParams(kernel=(1, 1), channels=16))
 
-    @given(st.integers(1, 40), st.integers(0, 2**40 - 1), st.integers(0, 2**40 - 1))
-    def test_truth_table(self, width, x, y):
-        mask = (1 << width) - 1
-        a = BitVec.from_int(x & mask, width)
-        b = BitVec.from_int(y & mask, width)
-        got = xnor_vec(a, b).to_int()
-        for i in range(width):
-            expect = 1 if ((x >> i) & 1) == ((y >> i) & 1) else 0
-            assert (got >> i) & 1 == expect
+    @given(st.integers(1, 5), st.integers(0, 2**40 - 1), st.integers(0, 2**40 - 1))
+    def test_truth_table(self, nbytes, x, y):
+        width = nbytes * 8
+        x &= (1 << width) - 1
+        y &= (1 << width) - 1
+        a = np.frombuffer(x.to_bytes(nbytes, "little"), np.uint8)
+        b = np.frombuffer(y.to_bytes(nbytes, "little"), np.uint8)
+        expect = sum(((x >> i) & 1) == ((y >> i) & 1) for i in range(width))
+        assert match_count(a, b) == expect
 
 
 class TestCnt:
+    """Per-byte counting: against an all-ones filter, matches are set bits."""
+
     def test_worked_example(self):
-        assert cnt_bytes(np.array([0xFF, 0x00, 0x0F], np.uint8)).tolist() == [8, 0, 4]
+        assert match_count([0xFF, 0x00, 0x0F], [0xFF] * 3) == 12
 
     def test_all_zero(self):
-        assert not cnt_bytes(np.zeros(5, np.uint8)).any()
+        assert match_count(np.zeros(5, np.uint8), [0xFF] * 5) == 0
 
     def test_random_against_bit_loop(self, rng):
         raw = rng.integers(0, 256, 16, dtype=np.uint8)
-        got = cnt_bytes(raw)
-        for i, byte in enumerate(raw.tolist()):
-            assert got[i] == sum((byte >> j) & 1 for j in range(8))
-
-    def test_bitvec_width_must_be_whole_bytes(self):
-        with pytest.raises(ValueError):
-            cnt_bytes(BitVec.from_int(1, 4))
+        expect = sum((byte >> j) & 1 for byte in raw.tolist() for j in range(8))
+        assert match_count(raw, [0xFF] * 16) == expect
 
 
 class TestAddv:
+    """The deferred reduction sums the byte counts of every group."""
+
     def test_worked_examples(self):
-        assert addv(np.array([3, 1, 4, 1], np.uint8)) == 9
-        assert addv(np.full(16, 8, np.uint8)) == 128
+        assert match_count([0xFF, 0x00, 0x0F, 0x01], [0xFF] * 4, c2=8) == 13
+        assert match_count(np.zeros(16, np.uint8), np.zeros(16, np.uint8), c2=8) == 128
 
     def test_random_against_scalar_loop(self, rng):
-        raw = rng.integers(0, 256, 33, dtype=np.uint8)
-        assert addv(raw) == sum(raw.tolist())
-
-    def test_accepts_bitvec(self):
-        assert addv(BitVec.from_int(0x0103, 16)) == 4
+        a = rng.integers(0, 256, 33, dtype=np.uint8)
+        b = rng.integers(0, 256, 33, dtype=np.uint8)
+        expect = sum(refeval.popcount(~(x ^ y) & 0xFF) for x, y in zip(a.tolist(), b.tolist()))
+        assert match_count(a, b, c2=8) == expect
 
     def test_popcount_identity(self, rng):
         for _ in range(50):
             nbytes = int(rng.integers(1, 65))
-            raw = rng.integers(0, 256, nbytes, dtype=np.uint8)
-            whole = int.from_bytes(raw.tobytes(), "little")
-            assert addv(cnt_bytes(raw)) == refeval.popcount(whole)
+            a = rng.integers(0, 256, nbytes, dtype=np.uint8)
+            b = rng.integers(0, 256, nbytes, dtype=np.uint8)
+            x = int.from_bytes(a.tobytes(), "little")
+            y = int.from_bytes(b.tobytes(), "little")
+            mask = (1 << (nbytes * 8)) - 1
+            assert match_count(a, b) == refeval.popcount(~(x ^ y) & mask)
 
 
 class TestBgemm:
     def test_identical_vectors(self):
-        a = BinMatrix.from_ints([[0xF0]], 8)
+        a = refeval.bin_matrix([[0xF0]], 8)
         assert bgemm(a, a).tolist() == [[8]]
 
     def test_two_term_accumulation(self):
-        a = BinMatrix.from_ints([[0xF0, 0xAA]], 8)
-        b = BinMatrix.from_ints([[0xF0], [0x55]], 8)
+        a = refeval.bin_matrix([[0xF0, 0xAA]], 8)
+        b = refeval.bin_matrix([[0xF0], [0x55]], 8)
         assert bgemm(a, b).tolist() == [[8]]
 
     def test_dimension_mismatch(self):
-        a = BinMatrix.from_ints([[1, 2]], 8)
+        a = refeval.bin_matrix([[1, 2]], 8)
         with pytest.raises(ValueError, match="dimension mismatch"):
             bgemm(a, a)
 
     def test_vec_bits_mismatch(self):
-        a = BinMatrix.from_ints([[1]], 8)
-        b = BinMatrix.from_ints([[1]], 16)
+        a = refeval.bin_matrix([[1]], 8)
+        b = refeval.bin_matrix([[1]], 16)
         with pytest.raises(ValueError, match="dimension mismatch"):
             bgemm(a, b)
 
@@ -163,7 +184,7 @@ class TestBgemmNoAddv:
         assert out.dtype == np.int32
 
     def test_dimension_mismatch(self):
-        a = BinMatrix.from_ints([[1, 2]], 8)
+        a = refeval.bin_matrix([[1, 2]], 8)
         with pytest.raises(ValueError, match="dimension mismatch"):
             bgemm_no_addv(a, a)
 
@@ -243,14 +264,14 @@ class TestDirectConv:
     def test_all_plus_one(self):
         x = np.full((1, 1, 1, 8), 1.0, np.float32)
         p = packed_from_values(x, 8)
-        w = BinMatrix.from_ints([[0x00]], 8)
+        w = refeval.bin_matrix([[0x00]], 8)
         out = binary_direct_conv(p, w, ConvParams(kernel=(1, 1), channels=8))
         assert out.nhwc_array().reshape(-1).tolist() == [8.0]
 
     def test_opposite_signs(self):
         x = np.full((1, 1, 1, 8), 1.0, np.float32)
         p = packed_from_values(x, 8)
-        w = BinMatrix.from_ints([[0xFF]], 8)
+        w = refeval.bin_matrix([[0xFF]], 8)
         out = binary_direct_conv(p, w, ConvParams(kernel=(1, 1), channels=8))
         assert out.nhwc_array().reshape(-1).tolist() == [-8.0]
 
@@ -258,11 +279,11 @@ class TestDirectConv:
         x = np.full((1, 1, 1, 6), 1.0, np.float32)
         p = packed_from_values(x, 8)
         counts = binary_direct_conv_counts(
-            p, BinMatrix.from_ints([[0x00]], 8), ConvParams(kernel=(1, 1), channels=6)
+            p, refeval.bin_matrix([[0x00]], 8), ConvParams(kernel=(1, 1), channels=6)
         )
         assert counts.reshape(-1).tolist() == [8]  # two pad bits count as matches
         out = binary_direct_conv(
-            p, BinMatrix.from_ints([[0x00]], 8), ConvParams(kernel=(1, 1), channels=6)
+            p, refeval.bin_matrix([[0x00]], 8), ConvParams(kernel=(1, 1), channels=6)
         )
         assert out.nhwc_array().reshape(-1).tolist() == [6.0]
 
@@ -297,7 +318,7 @@ class TestDirectConv:
         with pytest.raises(ValueError, match="group width mismatch"):
             binary_direct_conv(
                 packed_from_values(x, 8),
-                BinMatrix.from_ints([[0]], 16),
+                refeval.bin_matrix([[0]], 16),
                 ConvParams(kernel=(1, 1), channels=8),
             )
 
@@ -323,7 +344,7 @@ class TestDirectConv:
         with pytest.raises(ValueError, match="channel mismatch"):
             binary_direct_conv(
                 packed_from_values(x, 8),
-                BinMatrix.from_ints([[0]], 8),
+                refeval.bin_matrix([[0]], 8),
                 ConvParams(kernel=(1, 1), channels=16),
             )
 
@@ -356,18 +377,10 @@ class TestConvParams:
 
 class TestBinMatrix:
     def test_from_ints_little_endian(self):
-        m = BinMatrix.from_ints([[0x0102]], 16)
+        m = refeval.bin_matrix([[0x0102]], 16)
         assert m.data.reshape(-1).tolist() == [0x02, 0x01]
-
-    def test_vec_round_trip(self):
-        m = BinMatrix.from_ints([[5, 9], [0, 255]], 8)
-        assert m.vec(1, 1).to_int() == 255
 
     @pytest.mark.parametrize("vec_bits", [0, 4, 12])
     def test_vec_bits_validation(self, vec_bits):
         with pytest.raises(ValueError):
             BinMatrix(1, 1, vec_bits, np.zeros((1, 1, max(vec_bits // 8, 1)), np.uint8))
-
-    def test_ragged_grid(self):
-        with pytest.raises(ValueError, match="ragged"):
-            BinMatrix.from_ints([[1, 2], [3]], 8)

@@ -20,6 +20,7 @@ from bnnkit.modelfile import (
     save_model,
     serialize_model,
 )
+from bnnkit.nets import build_birealnet18
 from bnnkit.runtime import (
     Graph,
     GraphInput,
@@ -111,6 +112,12 @@ def rich_model(rng):
         output="out",
     )
     return PackedModel(graph)
+
+
+def reseal(raw) -> bytes:
+    """Recompute the CRC trailer over mutated model bytes."""
+    body = bytes(raw[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def assert_graphs_equal(a: Graph, b: Graph) -> None:
@@ -225,3 +232,45 @@ class TestCorruption:
                 deserialize_model(bytes(data))
             seen.add(str(err.value))
         assert len(seen) == 3
+
+
+class TestHostileFiles:
+    """Files with a valid checksum whose contents break a load-time rule."""
+
+    @pytest.fixture(scope="class")
+    def bireal(self):
+        return build_birealnet18(np.random.default_rng(1), num_classes=10, input_hw=32)
+
+    def test_undecodable_name(self, bireal):
+        raw = bytearray(serialize_model(bireal))
+        entry = raw.index(struct.pack("<I", 5) + b"conv1")
+        raw[entry + 4] = 0xFF
+        with pytest.raises(ModelFormatError, match="UTF-8"):
+            deserialize_model(reseal(raw))
+
+    def test_nonzero_pad_bit(self, bireal):
+        name, weight = next(
+            (k, w)
+            for k, w in bireal.graph.initializers.items()
+            if isinstance(w, PackedWeight) and w.dims[1] == 64 and w.c2 == 128
+        )
+        raw = bytearray(serialize_model(bireal))
+        payload = raw.index(weight.matrix.data.tobytes())
+        raw[payload + 8] |= 0x01  # channel 64 of the first group: a pad bit
+        with pytest.raises(ModelFormatError, match="pad bits"):
+            deserialize_model(reseal(raw))
+
+    def test_duplicate_initializer_name(self):
+        graph = Graph(
+            nodes=(Node(OpKind.SIGN, "s", ("input",), "out"),),
+            inputs=(GraphInput("input", (1, 1, 2, 2)),),
+            initializers={n: np.zeros(2, np.float32) for n in ("a", "b")},
+            output="out",
+        )
+        raw = bytearray(serialize_model(PackedModel(graph)))
+        (graph_len,) = struct.unpack_from("<I", raw, 8)
+        first = 20 + graph_len + 4  # past the header and the initializer count
+        second = first + 4 + 1 + 1 + 4 + 2 * 4  # name, kind, rank, extent, payload
+        raw[second : second + 4] = raw[first : first + 4]
+        with pytest.raises(ModelFormatError, match="duplicate initializer 'a'"):
+            deserialize_model(reseal(raw))
