@@ -56,19 +56,6 @@ __all__ = [
     "unpack_conv_weight",
 ]
 
-SUPPORTED_OPS = {
-    "Sign",
-    "Conv",
-    "BatchNormalization",
-    "Relu",
-    "MaxPool",
-    "AveragePool",
-    "GlobalAveragePool",
-    "Add",
-    "Gemm",
-    "Flatten",
-}
-
 _INPUT_COUNTS = {
     "Sign": (1, 1),
     "Conv": (2, 3),
@@ -187,7 +174,7 @@ def parse_interchange(text: str) -> InterchangeGraph:
             raise ConversionError(f"{where}: expected an object")
         op = _as_name(_require(item, "op", where), f"{where}.op")
         name = item.get("name") or f"{op}_{i}"
-        if op not in SUPPORTED_OPS:
+        if op not in _INPUT_COUNTS:
             raise ConversionError(f"{where}: unknown op '{op}' (node '{name}')")
         node_inputs = _require(item, "inputs", where)
         if not isinstance(node_inputs, list):
@@ -394,11 +381,6 @@ class _GraphBuilder:
                 Node(OpKind.GLOBAL_AVG_POOL, node.name, node.inputs, node.output)
             )
         elif op == "Add":
-            for src in node.inputs:
-                if src in self.source.initializers:
-                    raise ConversionError(
-                        f"node '{node.name}': Add with initializer input unsupported"
-                    )
             self.nodes.append(Node(OpKind.ADD, node.name, node.inputs, node.output))
         elif op == "Gemm":
             _require_attr(node, "alpha", 1.0)
@@ -420,8 +402,6 @@ class _GraphBuilder:
         elif op == "Flatten":
             _require_attr(node, "axis", 1)
             self.nodes.append(Node(OpKind.FLATTEN, node.name, node.inputs, node.output))
-        else:  # unreachable after parse validation
-            raise ConversionError(f"node '{node.name}': unknown op '{op}'")
 
     def _convert_conv(self, node: InterchangeNode) -> None:
         _require_attr(node, "group", 1)
@@ -433,10 +413,6 @@ class _GraphBuilder:
                 f"node '{node.name}': Conv weights must have 4 dims, got {w.ndim}"
             )
         kernel = _attr_pair(node, "kernel_shape", list(w.shape[2:]))
-        if tuple(kernel) != w.shape[2:]:
-            raise ConversionError(
-                f"node '{node.name}': kernel_shape does not match weight extents"
-            )
         stride = _attr_pair(node, "strides", [1, 1])
         padding = _attr_pads(node)
         attrs = NodeAttrs(kernel=kernel, stride=stride, padding=padding)
@@ -642,12 +618,9 @@ def convert_model(
     ratio = (before_total / after_total) if after_total else 1.0
     report = ConversionReport(rows, float(ratio), builder.warnings)
 
-    for name, dims in g.inputs:
-        if len(dims) != 4:
-            raise ConversionError(f"graph input '{name}' must have 4 dims")
-    graph_inputs = tuple(GraphInput(name, dims) for name, dims in g.inputs)
     try:
+        graph_inputs = tuple(GraphInput(name, dims) for name, dims in g.inputs)
         graph = Graph(tuple(nodes), graph_inputs, inits, g.output)
-    except GraphError as exc:
+    except (GraphError, ValueError) as exc:
         raise ConversionError(str(exc)) from exc
     return PackedModel(graph), report

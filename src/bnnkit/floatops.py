@@ -52,8 +52,7 @@ def _ordered_conv(
     x: np.ndarray,
     w: np.ndarray,
     bias,
-    stride: tuple[int, int],
-    padding: tuple[int, int],
+    p: ConvParams,
     pad_value: float,
 ) -> np.ndarray:
     """Cross-correlation with a fixed accumulation order.
@@ -67,12 +66,9 @@ def _ordered_conv(
     m, wc, kh, kw = w.shape
     if wc != c:
         raise ValueError(f"weights expect {wc} input channels, tensor has {c}")
-    sh, sw = stride
-    ph, pw = padding
-    outh = (h + 2 * ph - kh) // sh + 1
-    outw = (wd + 2 * pw - kw) // sw + 1
-    if outh < 1 or outw < 1:
-        raise ValueError("kernel larger than padded input")
+    sh, sw = p.stride
+    ph, pw = p.padding
+    outh, outw = p.out_extent(h, wd)
     if ph or pw:
         padded = np.full((n, h + 2 * ph, wd + 2 * pw, c), pad_value, dtype=np.float32)
         padded[:, ph : ph + h, pw : pw + wd, :] = x
@@ -112,7 +108,7 @@ def conv2d_f32(
     x = _nhwc(input)
     w = _oihw(weights)
     p = _conv_params(p, w.shape[2], w.shape[3], w.shape[1])
-    out = _ordered_conv(x, w, bias, p.stride, p.padding, 0.0)
+    out = _ordered_conv(x, w, bias, p, 0.0)
     return FloatTensor.from_array(out, Layout.NHWC)
 
 
@@ -130,7 +126,7 @@ def oracle_binary_conv(
     x = _sign_values(_nhwc(input))
     w = _sign_values(_oihw(weights))
     p = _conv_params(p, w.shape[2], w.shape[3], w.shape[1])
-    out = _ordered_conv(x, w, None, p.stride, p.padding, 1.0)
+    out = _ordered_conv(x, w, None, p, 1.0)
     return FloatTensor.from_array(out, Layout.NHWC)
 
 
@@ -177,10 +173,7 @@ def _pool_slabs(x, window, stride, padding, fill):
     wh, ww = window
     sh, sw = stride
     ph, pw = padding
-    outh = (h + 2 * ph - wh) // sh + 1
-    outw = (w + 2 * pw - ww) // sw + 1
-    if outh < 1 or outw < 1:
-        raise ValueError("window larger than padded input")
+    outh, outw = ConvParams(window, c, stride, padding).out_extent(h, w)
     if ph or pw:
         padded = np.full((n, h + 2 * ph, w + 2 * pw, c), fill, dtype=np.float32)
         padded[:, ph : ph + h, pw : pw + w, :] = x

@@ -99,11 +99,14 @@ class ConvParams:
             raise ValueError("channels must be >= 1")
 
     def out_extent(self, h: int, w: int) -> tuple[int, int]:
-        """Output spatial extents for an (h, w) input."""
+        """Output spatial extents for an (h, w) input; both must be >= 1."""
         kh, kw = self.kernel
         sh, sw = self.stride
         ph, pw = self.padding
-        return (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+        outh, outw = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+        if outh < 1 or outw < 1:
+            raise ValueError("kernel larger than padded input")
+        return outh, outw
 
 
 def _check_pair(a: BinMatrix, b: BinMatrix) -> None:
@@ -149,10 +152,7 @@ def _conv_geometry(input: PackedTensor, p: ConvParams) -> tuple[int, int]:
         raise ValueError(
             f"channel mismatch: tensor has {input.dims[1]}, params say {p.channels}"
         )
-    outh, outw = p.out_extent(input.dims[2], input.dims[3])
-    if outh < 1 or outw < 1:
-        raise ValueError("kernel larger than padded input")
-    return outh, outw
+    return p.out_extent(input.dims[2], input.dims[3])
 
 
 def _image_taps(

@@ -136,8 +136,6 @@ def _pack_initializer(name_idx: int, init: Initializer) -> bytes:
 
 
 def serialize_model(model: PackedModel) -> bytes:
-    if model.version != FORMAT_VERSION:
-        raise ModelFormatError("unsupported version")
     graph = model.graph
     table = _StringTable()
     body = bytearray()
@@ -315,12 +313,12 @@ def deserialize_model(data: bytes) -> PackedModel:
         )
         for op, name_idx, input_idxs, out_idx, weight_idxs, attrs in raw_nodes
     )
-    inputs = tuple(GraphInput(name(i), dims) for i, dims in raw_inputs)
     try:
+        inputs = tuple(GraphInput(name(i), dims) for i, dims in raw_inputs)
         graph = Graph(nodes, inputs, initializers, name(output_idx))
-    except GraphError as exc:
+    except (GraphError, ValueError) as exc:
         raise ModelFormatError(f"invalid graph: {exc}") from exc
-    return PackedModel(graph, version)
+    return PackedModel(graph)
 
 
 def save_model(model: PackedModel, path) -> None:

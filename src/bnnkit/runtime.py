@@ -1,10 +1,11 @@
-"""Operator graph, topological execution, and the packed model container.
+"""Operator graph, load-time op table, and the packed model container.
 
 Graphs are ordered node lists over named activations: every node input must
 be a graph input or the output of an earlier node, which makes the list its
 own schedule.  Weights live in a separate initializer namespace holding
-either raw float32 arrays or bit-packed filter banks; binary convolution
-nodes must reference a packed initializer.
+either raw float32 arrays or bit-packed filter banks.  Constructing a
+``Graph`` checks every node against its row in the ``_OPS`` table once and
+keeps the resulting plan, which ``execute`` walks.
 """
 
 from __future__ import annotations
@@ -144,36 +145,50 @@ class Graph:
         self._validate()
 
     def _validate(self) -> None:
-        produced = {gi.name for gi in self.inputs}
-        if len(produced) != len(self.inputs):
+        """Build every node through ``_OPS`` into the plan ``execute`` walks:
+        per node, its run function and the activations it reads last."""
+        dims = {gi.name: gi.dims for gi in self.inputs}
+        if len(dims) != len(self.inputs):
             raise GraphError("duplicate graph input names")
-        for node in self.nodes:
-            for src in node.inputs:
-                if src not in produced:
-                    raise GraphError(f"node '{node.name}': unresolved input '{src}'")
-            for ref in node.weights:
-                if ref not in self.initializers:
-                    raise GraphError(f"node '{node.name}': missing initializer '{ref}'")
-            if node.output in produced:
-                raise GraphError(
-                    f"node '{node.name}': output '{node.output}' already defined"
-                )
-            if node.kind is OpKind.BINARY_CONV:
-                if len(node.weights) != 1 or not isinstance(
-                    self.initializers[node.weights[0]], PackedWeight
-                ):
-                    raise GraphError(
-                        f"node '{node.name}': binary convolution weight must be packed"
-                    )
-            produced.add(node.output)
-        if self.output not in produced:
+        last_reader: dict[str, int] = {}
+        runs = []
+        for i, node in enumerate(self.nodes):
+            arity, build = _OPS[node.kind]
+            try:
+                for src in node.inputs:
+                    if src not in dims:
+                        raise ValueError(f"unresolved input '{src}'")
+                    last_reader[src] = i
+                for ref in node.weights:
+                    if ref not in self.initializers:
+                        raise ValueError(f"missing initializer '{ref}'")
+                if node.output in dims:
+                    raise ValueError(f"output '{node.output}' already defined")
+                if len(node.inputs) != arity:
+                    raise ValueError(f"expects {arity} inputs, got {len(node.inputs)}")
+                weights = [self.initializers[ref] for ref in node.weights]
+                out, run = build(node, weights, *[dims[src] for src in node.inputs])
+                if min(out) < 1:
+                    raise ValueError(f"output dims {out} are not all positive")
+            except ValueError as exc:
+                raise GraphError(f"node '{node.name}': {exc}") from exc
+            dims[node.output] = out
+            last_reader[node.output] = i
+            runs.append(run)
+        if self.output not in dims:
             raise GraphError(f"graph output '{self.output}' is not produced")
+        last_reader.pop(self.output, None)
+        dead = [[n for n, j in last_reader.items() if j == i] for i in range(len(runs))]
+        object.__setattr__(self, "_plan", tuple(zip(self.nodes, runs, dead)))
+
+    def __reduce__(self):
+        # the plan holds closures, so a copy or unpickle builds it again
+        return Graph, (self.nodes, self.inputs, self.initializers, self.output)
 
 
 @dataclass(frozen=True)
 class PackedModel:
     graph: Graph
-    version: int = 1
 
 
 def float_order_key(a) -> np.ndarray:
@@ -192,7 +207,8 @@ def execute(model: PackedModel, input: FloatTensor) -> FloatTensor:
 
     Bit-deterministic: identical model bytes and input bytes give identical
     output bytes.  Binary convolutions pack their input activations on the
-    fly; everything else runs in float32.
+    fly; everything else runs in float32.  Each activation is released after
+    its last reader has run.
     """
     graph = model.graph
     if len(graph.inputs) != 1:
@@ -201,116 +217,133 @@ def execute(model: PackedModel, input: FloatTensor) -> FloatTensor:
     if tuple(input.dims) != gi.dims:
         raise GraphError(f"input dims {input.dims} do not match declared {gi.dims}")
     env: dict[str, FloatTensor] = {gi.name: input}
-    for node in graph.nodes:
+    for node, run, dead in graph._plan:
         try:
-            env[node.output] = _eval_node(node, env, graph.initializers)
-        except GraphError:
-            raise
+            env[node.output] = run(*[env[src] for src in node.inputs])
         except Exception as exc:
             raise GraphError(f"node '{node.name}': {exc}") from exc
+        for name in dead:
+            del env[name]
     return env[graph.output]
 
 
-def _float_init(inits: dict[str, Initializer], node: Node, idx: int) -> np.ndarray:
-    if idx >= len(node.weights):
-        raise ValueError(f"expects at least {idx + 1} weights")
-    value = inits[node.weights[idx]]
-    if isinstance(value, PackedWeight):
-        raise ValueError(f"initializer '{node.weights[idx]}' must be full precision")
-    return value
+def _floats(node: Node, weights: list, *counts: int) -> list[np.ndarray]:
+    if len(weights) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise ValueError(f"expects {expected} weights, got {len(weights)}")
+    for ref, w in zip(node.weights, weights):
+        if isinstance(w, PackedWeight):
+            raise ValueError(f"initializer '{ref}' must be full precision")
+    return [np.asarray(w, dtype=np.float32) for w in weights]
 
 
-def _spatial(node: Node) -> tuple[tuple[int, int], tuple[int, int]]:
+def _vectors(c: int, names: str, tables) -> None:
+    for name, table in zip(names.split(), tables):
+        if table.shape != (c,):
+            raise ValueError(f"{name} length does not match {c} channels")
+
+
+def _window(node: Node, kernel, x) -> tuple[ConvParams, tuple[int, int]]:
+    """Conv or pool geometry over input dims ``x``, and the output extents."""
     attrs = node.attrs
-    return attrs.stride or (1, 1), attrs.padding or (0, 0)
-
-
-def _eval_binary_conv(
-    node: Node, x: FloatTensor, inits: dict[str, Initializer]
-) -> FloatTensor:
-    weight = inits[node.weights[0]]
-    if not isinstance(weight, PackedWeight):
-        raise ValueError("weight initializer is not packed")
-    m, c, kh, kw = weight.dims
-    if node.attrs.kernel is not None and tuple(node.attrs.kernel) != (kh, kw):
+    if attrs.kernel not in (None, tuple(kernel)):
         raise ValueError("kernel attribute does not match weight extents")
-    stride, padding = _spatial(node)
-    params = ConvParams(kernel=(kh, kw), channels=c, stride=stride, padding=padding)
-    packed = pack_to_nc1hwc2(x, weight.c2)
-    return binary_direct_conv(packed, weight.matrix, params)
+    p = ConvParams(kernel, x[1], attrs.stride or (1, 1), attrs.padding or (0, 0))
+    return p, p.out_extent(x[2], x[3])
 
 
-def _eval_float_conv(
-    node: Node, x: FloatTensor, inits: dict[str, Initializer]
-) -> FloatTensor:
-    w = _float_init(inits, node, 0)
-    if w.ndim != 4:
-        raise ValueError("float convolution weights must have 4 extents")
-    bias = _float_init(inits, node, 1) if len(node.weights) > 1 else None
-    if node.attrs.kernel is not None and tuple(node.attrs.kernel) != w.shape[2:]:
-        raise ValueError("kernel attribute does not match weight extents")
-    stride, padding = _spatial(node)
-    params = ConvParams(
-        kernel=w.shape[2:], channels=w.shape[1], stride=stride, padding=padding
-    )
-    return floatops.conv2d_f32(x, FloatTensor.from_array(w, Layout.NCHW), bias, params)
-
-
-def _eval_threshold_sign(
-    node: Node, x: FloatTensor, inits: dict[str, Initializer]
-) -> FloatTensor:
-    keys = _float_init(inits, node, 0)
-    invert = _float_init(inits, node, 1)
-    c = x.dims[1]
-    if keys.shape != (c,) or invert.shape != (c,):
-        raise ValueError("threshold tables do not match channel count")
-    order = float_order_key(np.ascontiguousarray(x.nhwc_array()))
-    below = order < np.ascontiguousarray(keys, dtype=np.float32).view(np.uint32)
-    flip = np.ascontiguousarray(invert, dtype=np.float32) != 0
-    bit = below ^ flip
-    return FloatTensor.from_array(
-        np.where(bit, np.float32(-1.0), np.float32(1.0)), Layout.NHWC
+def _binary_conv(node, weights, x):
+    if len(weights) != 1 or not isinstance(weights[0], PackedWeight):
+        raise ValueError("binary convolution weight must be packed")
+    w = weights[0]
+    m, c, kh, kw = w.dims
+    if c != x[1]:
+        raise ValueError(f"weight expects {c} input channels, input has {x[1]}")
+    p, out = _window(node, (kh, kw), x)
+    return (x[0], m, *out), lambda t: binary_direct_conv(
+        pack_to_nc1hwc2(t, w.c2), w.matrix, p
     )
 
 
-def _eval_node(
-    node: Node, env: dict[str, FloatTensor], inits: dict[str, Initializer]
-) -> FloatTensor:
-    for src in node.inputs:
-        if src not in env:
-            raise ValueError(f"input '{src}' has not been computed")
-    kind = node.kind
-    x = env[node.inputs[0]] if node.inputs else None
-    if kind is OpKind.SIGN:
-        return floatops.sign_op(x)
-    if kind is OpKind.BINARY_CONV:
-        return _eval_binary_conv(node, x, inits)
-    if kind is OpKind.FLOAT_CONV:
-        return _eval_float_conv(node, x, inits)
-    if kind is OpKind.BATCH_NORM:
-        if len(node.weights) != 4:
-            raise ValueError("expects gamma, beta, mean, var weights")
-        g, b, mu, var = (_float_init(inits, node, i) for i in range(4))
-        eps = node.attrs.epsilon if node.attrs.epsilon is not None else 1e-5
-        return floatops.batchnorm(x, g, b, mu, var, eps)
-    if kind is OpKind.RELU:
-        return floatops.relu(x)
-    if kind in (OpKind.MAX_POOL, OpKind.AVG_POOL):
-        if node.attrs.kernel is None:
-            raise ValueError("missing kernel attribute")
-        stride, padding = _spatial(node)
-        pool = floatops.maxpool if kind is OpKind.MAX_POOL else floatops.avgpool
-        return pool(x, node.attrs.kernel, stride, padding)
-    if kind is OpKind.GLOBAL_AVG_POOL:
-        return floatops.global_avgpool(x)
-    if kind is OpKind.ADD:
-        return floatops.add(env[node.inputs[0]], env[node.inputs[1]])
-    if kind is OpKind.FULLY_CONNECTED:
-        w = _float_init(inits, node, 0)
-        bias = _float_init(inits, node, 1) if len(node.weights) > 1 else None
-        return floatops.fully_connected(x, w, bias)
-    if kind is OpKind.FLATTEN:
-        return floatops.flatten(x)
-    if kind is OpKind.THRESHOLD_SIGN:
-        return _eval_threshold_sign(node, x, inits)
-    raise ValueError(f"unsupported op kind {kind!r}")
+def _float_conv(node, weights, x):
+    w, *bias = _floats(node, weights, 1, 2)
+    if w.ndim != 4 or w.shape[1] != x[1]:
+        raise ValueError(f"weights {w.shape} do not fit {x[1]} input channels")
+    _vectors(w.shape[0], "bias", bias)
+    p, out = _window(node, w.shape[2:], x)
+    wt = FloatTensor.from_array(w, Layout.NCHW)
+    b = bias[0] if bias else None
+    return (x[0], w.shape[0], *out), lambda t: floatops.conv2d_f32(t, wt, b, p)
+
+
+def _batch_norm(node, weights, x):
+    g, b, mu, var = params = _floats(node, weights, 4)
+    _vectors(x[1], "gamma beta mean var", params)
+    if np.any(var < 0):
+        raise ValueError("negative variance")
+    eps = 1e-5 if node.attrs.epsilon is None else node.attrs.epsilon
+    return x, lambda t: floatops.batchnorm(t, g, b, mu, var, eps)
+
+
+def _threshold_sign(node, weights, x):
+    keys, invert = tables = _floats(node, weights, 2)
+    _vectors(x[1], "threshold invert", tables)
+    bound, flip = keys.view(np.uint32), invert != 0
+
+    def run(t: FloatTensor) -> FloatTensor:
+        bit = (float_order_key(t.nhwc_array()) < bound) ^ flip
+        return FloatTensor.from_array(np.where(bit, np.float32(-1.0), np.float32(1.0)))
+
+    return x, run
+
+
+def _pool(node, weights, x):
+    if node.attrs.kernel is None:
+        raise ValueError("missing kernel attribute")
+    p, out = _window(node, node.attrs.kernel, x)
+    name = "maxpool" if node.kind is OpKind.MAX_POOL else "avgpool"
+    return (*x[:2], *out), lambda t: getattr(floatops, name)(
+        t, p.kernel, p.stride, p.padding
+    )
+
+
+def _fully_connected(node, weights, x):
+    w, *bias = _floats(node, weights, 1, 2)
+    features = x[1] * x[2] * x[3]
+    if w.ndim != 2 or w.shape[1] != features:
+        raise ValueError(f"weight shape {w.shape} does not match {features} features")
+    _vectors(w.shape[0], "bias", bias)
+    b = bias[0] if bias else None
+    return (x[0], w.shape[0], 1, 1), lambda t: floatops.fully_connected(t, w, b)
+
+
+def _add(node, weights, a, b):
+    if a != b:
+        raise ValueError(f"shape mismatch: {a} vs {b}")
+    return a, lambda s, t: floatops.add(s, t)
+
+
+def _weightless(name: str, out_dims=lambda x: x):
+    """Builder of a unary op without weights or attributes: ``floatops.<name>``."""
+    return lambda node, weights, x: (out_dims(x), lambda t: getattr(floatops, name)(t))
+
+
+# (data-input count, builder) per op kind.  ``build(node, weights, *input
+# dims) -> (output dims, run)`` raises ValueError for anything that does not
+# fit.  Run functions look up ``floatops.<name>``, ``binary_direct_conv`` and
+# ``pack_to_nc1hwc2`` when called, so a wrapper installed on those module
+# attributes sees every call.
+_OPS = {
+    OpKind.SIGN: (1, _weightless("sign_op")),
+    OpKind.BINARY_CONV: (1, _binary_conv),
+    OpKind.FLOAT_CONV: (1, _float_conv),
+    OpKind.BATCH_NORM: (1, _batch_norm),
+    OpKind.RELU: (1, _weightless("relu")),
+    OpKind.MAX_POOL: (1, _pool),
+    OpKind.AVG_POOL: (1, _pool),
+    OpKind.GLOBAL_AVG_POOL: (1, _weightless("global_avgpool", lambda x: (*x[:2], 1, 1))),
+    OpKind.ADD: (2, _add),
+    OpKind.FULLY_CONNECTED: (1, _fully_connected),
+    OpKind.FLATTEN: (1, _weightless("flatten", lambda x: (x[0], x[1] * x[2] * x[3], 1, 1))),
+    OpKind.THRESHOLD_SIGN: (1, _threshold_sign),
+}

@@ -334,6 +334,21 @@ class TestConversionRules:
         with pytest.raises(ConversionError, match="count_include_pad"):
             convert_model(parse_interchange(doc))
 
+    def test_add_with_initializer_input(self):
+        doc = make_doc(
+            inputs=[{"name": "input", "dims": [1, 1, 1, 1]}],
+            initializers=[init_entry("w", np.ones((1, 1, 1, 1), np.float32))],
+            nodes=[{"op": "Add", "name": "ad", "inputs": ["input", "w"], "outputs": ["y"]}],
+            output="y",
+        )
+        with pytest.raises(ConversionError, match="node 'ad': unresolved input 'w'"):
+            convert_model(parse_interchange(doc))
+
+    def test_kernel_shape_must_match_weights(self, rng):
+        doc = conv_doc(pm1(rng, (2, 4, 3, 3)), extra_conv_attrs={"kernel_shape": [1, 1]})
+        with pytest.raises(ConversionError, match="kernel attribute does not match"):
+            convert_model(parse_interchange(doc))
+
     def test_report_json_keys(self, rng):
         doc = conv_doc(pm1(rng, (2, 8, 1, 1)))
         _, report = convert_model(parse_interchange(doc))

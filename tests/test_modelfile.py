@@ -1,10 +1,14 @@
+import functools
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refeval
+from bnnkit.cli import main
 from bnnkit.convert import (
     ConvertOptions,
     convert_model,
@@ -21,6 +25,7 @@ from bnnkit.modelfile import (
     serialize_model,
 )
 from bnnkit.nets import build_birealnet18
+from bnnkit.layout import FloatTensor
 from bnnkit.runtime import (
     Graph,
     GraphInput,
@@ -30,6 +35,7 @@ from bnnkit.runtime import (
     PackedModel,
     PackedWeight,
 )
+from bnnkit.tensorio import write_tensor
 
 
 def tiny_model():
@@ -274,3 +280,47 @@ class TestHostileFiles:
         raw[second : second + 4] = raw[first : first + 4]
         with pytest.raises(ModelFormatError, match="duplicate initializer 'a'"):
             deserialize_model(reseal(raw))
+
+    def test_zero_input_extent(self, tmp_path, capsys):
+        raw = bytearray(serialize_model(tiny_model()))
+        dims = raw.index(struct.pack("<4I", 1, 1, 2, 2))
+        raw[dims + 4 : dims + 8] = struct.pack("<I", 0)
+        with pytest.raises(ModelFormatError, match="4 positive extents"):
+            deserialize_model(reseal(raw))
+        model, x = tmp_path / "m.dabn", tmp_path / "x.bin"
+        model.write_bytes(reseal(raw))
+        write_tensor(x, FloatTensor.from_array(np.zeros((1, 2, 2, 1), np.float32)))
+        assert main(["run", str(model), str(x)]) == 1
+        captured = capsys.readouterr()
+        assert "bad model file" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+@functools.lru_cache(maxsize=1)
+def bireal32_bytes() -> bytes:
+    model = build_birealnet18(np.random.default_rng(1), num_classes=10, input_hw=32)
+    return serialize_model(model)
+
+
+class TestMutationFuzz:
+    """Random byte edits of the header and graph section, with the CRC resealed.
+
+    Every mutated file either fails with ModelFormatError or loads into a
+    model whose saved bytes reload to the same bytes.  Mutated models are
+    only loaded, never run: a mutated padding can ask for huge activations.
+    """
+
+    @settings(max_examples=200, derandomize=True)
+    @given(data=st.data())
+    def test_loads_canonically_or_fails_cleanly(self, data):
+        raw = bytearray(bireal32_bytes())
+        (graph_len,) = struct.unpack_from("<I", raw, 8)
+        byte_edit = st.tuples(st.integers(0, 20 + graph_len - 1), st.integers(0, 255))
+        for pos, value in data.draw(st.lists(byte_edit, min_size=1, max_size=4)):
+            raw[pos] = value
+        try:
+            model = deserialize_model(reseal(raw))
+        except ModelFormatError:
+            return
+        saved = serialize_model(model)
+        assert serialize_model(deserialize_model(saved)) == saved

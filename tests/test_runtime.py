@@ -1,12 +1,18 @@
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bnnkit import floatops
+from bnnkit import floatops, runtime
+from bnnkit.cli import main
 from bnnkit.convert import pack_conv_weight
 from bnnkit.kernels import ConvParams
 from bnnkit.layout import FloatTensor, Layout
+from bnnkit.modelfile import ModelFormatError, deserialize_model, serialize_model
 from bnnkit.nets import build_birealnet18
 from bnnkit.runtime import (
+    _OPS,
     Graph,
     GraphError,
     GraphInput,
@@ -18,6 +24,7 @@ from bnnkit.runtime import (
     execute,
     float_order_key,
 )
+from bnnkit.tensorio import write_tensor
 
 
 def input_tensor(values):
@@ -53,14 +60,13 @@ class TestExecute:
             execute(model, x)
 
     def test_node_errors_name_the_node(self):
-        graph = Graph(
-            nodes=(Node(OpKind.MAX_POOL, "badpool", ("input",), "out"),),
-            inputs=(GraphInput("input", (1, 1, 2, 2)),),
-            initializers={},
-            output="out",
-        )
         with pytest.raises(GraphError, match="node 'badpool'.*kernel"):
-            execute(PackedModel(graph), input_tensor(np.zeros((1, 2, 2, 1))))
+            Graph(
+                nodes=(Node(OpKind.MAX_POOL, "badpool", ("input",), "out"),),
+                inputs=(GraphInput("input", (1, 1, 2, 2)),),
+                initializers={},
+                output="out",
+            )
 
     def test_mixed_graph_matches_float_composition(self, rng):
         wv = rng.choice(np.array([-1.0, 1.0], np.float32), size=(12, 10, 3, 3))
@@ -258,3 +264,243 @@ class TestBiRealNet:
         first = execute(model, x)
         assert first.dims == (1, 10, 1, 1)
         assert execute(model, x).data.tobytes() == first.data.tobytes()
+
+
+def ones(*shape):
+    return np.ones(shape, np.float32)
+
+
+def packed(m, c, k=1):
+    return pack_conv_weight(ones(m, c, k, k), 8)
+
+
+def bad(kind, *inputs, attrs=NodeAttrs(), weights=()):
+    return Node(kind, "bad", inputs or ("input",), "out", attrs, weights)
+
+
+BN_WEIGHTS = ("g", "b", "mu", "var")
+POOL_2X2 = NodeAttrs(kernel=(2, 2), stride=(2, 2))
+
+# Graphs that must fail to load: (nodes, input dims, initializers, message).
+# The failing node is always 'bad'.
+REJECTED = {
+    "pool_stride_zero": (
+        (bad(OpKind.MAX_POOL, attrs=NodeAttrs(kernel=(2, 2), stride=(0, 0))),),
+        (1, 1, 4, 4),
+        {},
+        "stride must be >= 1",
+    ),
+    "negative_padding": (
+        (bad(OpKind.FLOAT_CONV, attrs=NodeAttrs(padding=(-1, -1)), weights=("w",)),),
+        (1, 1, 4, 4),
+        {"w": ones(1, 1, 1, 1)},
+        "padding must be >= 0",
+    ),
+    "kernel_larger_than_padded_input": (
+        (bad(OpKind.BINARY_CONV, attrs=NodeAttrs(padding=(1, 0)), weights=("w",)),),
+        (1, 8, 3, 3),
+        {"w": packed(2, 8, k=5)},
+        "kernel larger than padded input",
+    ),
+    "kernel_attribute_differs_from_weights": (
+        (bad(OpKind.BINARY_CONV, attrs=NodeAttrs(kernel=(3, 3)), weights=("w",)),),
+        (1, 8, 4, 4),
+        {"w": packed(2, 8)},
+        "kernel attribute does not match weight extents",
+    ),
+    "pool_without_kernel": (
+        (bad(OpKind.AVG_POOL),),
+        (1, 1, 4, 4),
+        {},
+        "missing kernel attribute",
+    ),
+    "binary_conv_channel_mismatch": (
+        (bad(OpKind.BINARY_CONV, weights=("w",)),),
+        (1, 16, 2, 2),
+        {"w": packed(2, 8)},
+        "weight expects 8 input channels, input has 16",
+    ),
+    "binary_conv_float_weight": (
+        (bad(OpKind.BINARY_CONV, weights=("w",)),),
+        (1, 8, 2, 2),
+        {"w": ones(2, 8, 1, 1)},
+        "must be packed",
+    ),
+    "float_conv_channel_mismatch": (
+        (bad(OpKind.FLOAT_CONV, weights=("w",)),),
+        (1, 4, 2, 2),
+        {"w": ones(2, 3, 1, 1)},
+        "do not fit 4 input channels",
+    ),
+    "float_conv_bias_length": (
+        (bad(OpKind.FLOAT_CONV, weights=("w", "b")),),
+        (1, 3, 2, 2),
+        {"w": ones(2, 3, 1, 1), "b": ones(3)},
+        "bias length does not match 2 channels",
+    ),
+    "batch_norm_table_length": (
+        (bad(OpKind.BATCH_NORM, weights=BN_WEIGHTS),),
+        (1, 4, 2, 2),
+        {"g": ones(4), "b": ones(4), "mu": ones(3), "var": ones(4)},
+        "mean length does not match 4 channels",
+    ),
+    "batch_norm_negative_variance": (
+        (bad(OpKind.BATCH_NORM, weights=BN_WEIGHTS),),
+        (1, 2, 2, 2),
+        {"g": ones(2), "b": ones(2), "mu": ones(2), "var": np.array([1, -1], np.float32)},
+        "negative variance",
+    ),
+    "batch_norm_weight_count": (
+        (bad(OpKind.BATCH_NORM, weights=BN_WEIGHTS[:3]),),
+        (1, 4, 2, 2),
+        {"g": ones(4), "b": ones(4), "mu": ones(4)},
+        "expects 4 weights, got 3",
+    ),
+    "threshold_table_length": (
+        (bad(OpKind.THRESHOLD_SIGN, weights=("k", "i")),),
+        (1, 4, 2, 2),
+        {"k": ones(4), "i": ones(5)},
+        "invert length does not match 4 channels",
+    ),
+    "fully_connected_features": (
+        (bad(OpKind.FULLY_CONNECTED, weights=("w",)),),
+        (1, 2, 2, 1),
+        {"w": ones(3, 5)},
+        r"weight shape \(3, 5\) does not match 4 features",
+    ),
+    "fully_connected_no_outputs": (
+        (bad(OpKind.FULLY_CONNECTED, weights=("w",)),),
+        (1, 4, 1, 1),
+        {"w": ones(0, 4)},
+        "not all positive",
+    ),
+    "add_shape_mismatch": (
+        (
+            Node(OpKind.MAX_POOL, "pool", ("input",), "pool.out", POOL_2X2),
+            bad(OpKind.ADD, "input", "pool.out"),
+        ),
+        (1, 2, 4, 4),
+        {},
+        "shape mismatch",
+    ),
+    "packed_weight_on_float_conv": (
+        (bad(OpKind.FLOAT_CONV, weights=("w",)),),
+        (1, 8, 2, 2),
+        {"w": packed(2, 8)},
+        "initializer 'w' must be full precision",
+    ),
+    "packed_weight_on_batch_norm": (
+        (bad(OpKind.BATCH_NORM, weights=("g", "b", "w", "var")),),
+        (1, 8, 2, 2),
+        {"g": ones(8), "b": ones(8), "w": packed(8, 1), "var": ones(8)},
+        "initializer 'w' must be full precision",
+    ),
+    "add_with_one_input": (
+        (bad(OpKind.ADD),),
+        (1, 1, 2, 2),
+        {},
+        "expects 2 inputs, got 1",
+    ),
+    "relu_with_two_inputs": (
+        (bad(OpKind.RELU, "input", "input"),),
+        (1, 1, 2, 2),
+        {},
+        "expects 1 inputs, got 2",
+    ),
+    "sign_without_input": (
+        (Node(OpKind.SIGN, "bad", (), "out"),),
+        (1, 1, 2, 2),
+        {},
+        "expects 1 inputs, got 0",
+    ),
+}
+
+
+def unchecked_model(nodes, dims, inits) -> PackedModel:
+    """A model whose graph skips construction checks, as a hostile file writer's would."""
+    graph = object.__new__(Graph)
+    fields = {
+        "nodes": nodes,
+        "inputs": (GraphInput("input", dims),),
+        "initializers": inits,
+        "output": nodes[-1].output,
+    }
+    for name, value in fields.items():
+        object.__setattr__(graph, name, value)
+    return PackedModel(graph)
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+class TestRejectedAtLoad:
+    def test_graph_error_names_the_node(self, case):
+        nodes, dims, inits, message = REJECTED[case]
+        with pytest.raises(GraphError, match=f"node 'bad': .*{message}"):
+            Graph(nodes, (GraphInput("input", dims),), inits, nodes[-1].output)
+
+    def test_model_file_is_rejected(self, case):
+        nodes, dims, inits, message = REJECTED[case]
+        raw = serialize_model(unchecked_model(nodes, dims, inits))
+        with pytest.raises(ModelFormatError, match=f"node 'bad': .*{message}"):
+            deserialize_model(raw)
+
+    def test_cli_run_exits_1(self, case, tmp_path, capsys):
+        nodes, dims, inits, _ = REJECTED[case]
+        model = tmp_path / "m.dabn"
+        model.write_bytes(serialize_model(unchecked_model(nodes, dims, inits)))
+        x = tmp_path / "x.bin"
+        n, c, h, w = dims
+        write_tensor(x, input_tensor(np.zeros((n, h, w, c))))
+        assert main(["run", str(model), str(x)]) == 1
+        captured = capsys.readouterr()
+        assert "bad model file" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestPlan:
+    def test_one_table_row_per_op_kind(self):
+        assert set(_OPS) == set(OpKind)
+
+    def test_pickled_model_runs(self, rng):
+        model = sign_conv_model(np.ones((2, 8, 1, 1), np.float32), 8, 2)
+        x = input_tensor(rng.standard_normal((1, 2, 2, 8)).astype(np.float32))
+        assert execute(pickle.loads(pickle.dumps(model)), x) == execute(model, x)
+
+    def test_execute_frees_dead_activations(self, rng, monkeypatch):
+        model = build_birealnet18(np.random.default_rng(7), num_classes=10, input_hw=32)
+        x = input_tensor(rng.standard_normal((1, 32, 32, 3)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            execute(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        produced = []
+
+        def recording(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                produced.append(out.data.nbytes)
+                return out
+
+            return wrapper
+
+        node_ops = (
+            "conv2d_f32",
+            "batchnorm",
+            "maxpool",
+            "avgpool",
+            "sign_op",
+            "add",
+            "global_avgpool",
+            "flatten",
+            "fully_connected",
+        )
+        for name in node_ops:
+            monkeypatch.setattr(floatops, name, recording(getattr(floatops, name)))
+        monkeypatch.setattr(
+            runtime, "binary_direct_conv", recording(runtime.binary_direct_conv)
+        )
+        execute(model, x)
+        assert len(produced) == len(model.graph.nodes)
+        assert peak < sum(produced)
