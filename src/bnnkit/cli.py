@@ -47,9 +47,16 @@ _PACKING_CASES = {
     "full": [(s, c) for s in (32, 64, 128) for c in (64, 128, 256)],
     "small": [(8, 16), (8, 64), (16, 32)],
 }
+# (input channels, filters, spatial extent, stride) of a 3x3 binary conv
 _CONV_CASES = {
-    "full": [(64, 56), (128, 28), (256, 14), (512, 7)],
-    "small": [(16, 8), (32, 6)],
+    "full": [
+        (64, 64, 56, 1),
+        (128, 128, 28, 1),
+        (256, 256, 14, 1),
+        (512, 512, 7, 1),
+        (64, 128, 56, 2),
+    ],
+    "small": [(16, 16, 8, 1), (32, 32, 6, 1)],
 }
 _NET_HW = {"full": 224, "small": 32}
 _SUITES = ("packing", "conv", "net")
@@ -163,10 +170,12 @@ def _bench_packing(rng, sizes, repeat) -> list[BenchRecord]:
 def _bench_conv(rng, cases, repeat) -> list[BenchRecord]:
     c2 = 128
     records = []
-    for channels, spatial in cases:
+    for channels, filters, spatial, stride in cases:
         case = f"c{channels}_hw{spatial}"
-        params = ConvParams(kernel=(3, 3), channels=channels, padding=(1, 1))
-        wvals = rng.choice(np.array([-1.0, 1.0], np.float32), size=(channels, channels, 3, 3))
+        if (filters, stride) != (channels, 1):
+            case += f"_m{filters}_s{stride}"
+        params = ConvParams((3, 3), channels, (stride, stride), (1, 1))
+        wvals = rng.choice(np.array([-1.0, 1.0], np.float32), size=(filters, channels, 3, 3))
         weight = pack_conv_weight(wvals, c2).matrix
         x = rng.standard_normal((1, spatial, spatial, channels)).astype(np.float32)
         packed = pack_to_nc1hwc2(FloatTensor.from_array(x, Layout.NHWC), c2)

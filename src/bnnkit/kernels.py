@@ -1,15 +1,23 @@
 """Binary convolution arithmetic: bit-matrix multiplication, packed im2col,
-and direct convolution with a deferred byte-sum reduction.
+and the word-plane direct convolution.
 
 All binary dot products are computed as "match counts": the number of bit
 positions on which two packed vectors agree (popcount of their xnor).
 ``match_to_dot`` turns a match count into the signed ±1 dot product,
 correcting for channel pad bits, which are 0 in both operands and therefore
 always counted as matches.
+
+The direct convolution, which inference runs, xors 64-bit (or narrower)
+words of all filters against one contiguous plane of input words per step
+and adds the popcounts into 16-bit accumulators, one per output, so a dot
+product may span at most 8 * ``MAX_GROUPS_PER_DOT`` = 65528 bits.  Words
+that hold only channel pad bits are skipped.  ``bgemm``, ``bgemm_no_addv``
+and ``im2col_packed`` remain as benchmark baselines.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +36,9 @@ __all__ = [
     "binary_direct_conv_counts",
 ]
 
-# A 16-bit accumulator lane grows by at most 8 per step, so this many packed
-# groups per dot product is the widening-accumulation capacity: 8 * 8191 < 2**16.
+# Bytes (8-bit groups) one dot product may span: its mismatch count is held
+# in a 16-bit accumulator, and 8 * 8191 = 65528 bits < 2**16.
 MAX_GROUPS_PER_DOT = (2**16 - 1) // 8
-
-# Filters processed together in the direct convolution; the k walk restarts
-# per block so the working set stays small.
-OUTPUT_CHANNEL_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,26 +159,6 @@ def _conv_geometry(input: PackedTensor, p: ConvParams) -> tuple[int, int]:
     return p.out_extent(input.dims[2], input.dims[3])
 
 
-def _image_taps(
-    img: np.ndarray, p: ConvParams, outh: int, outw: int
-) -> list[np.ndarray]:
-    """Per kernel tap (row-major), the (c1, outh*outw, nbytes) input slab.
-
-    Spatial padding is all-zero groups, i.e. logical +1 values.
-    """
-    kh, kw = p.kernel
-    sh, sw = p.stride
-    ph, pw = p.padding
-    c1, _, _, nbytes = img.shape
-    padded = np.pad(img, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    taps = []
-    for ky in range(kh):
-        for kx in range(kw):
-            tap = padded[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw, :]
-            taps.append(np.ascontiguousarray(tap).reshape(c1, outh * outw, nbytes))
-    return taps
-
-
 def im2col_packed(input: PackedTensor, p: ConvParams) -> BinMatrix:
     """Unfold a single-image packed tensor into convolution columns.
 
@@ -186,12 +170,14 @@ def im2col_packed(input: PackedTensor, p: ConvParams) -> BinMatrix:
     if input.dims[0] != 1:
         raise ValueError("im2col expects a single-image tensor")
     outh, outw = _conv_geometry(input, p)
-    c1 = input.c1
-    taps = _image_taps(input.data[0], p, outh, outw)
-    kh, kw = p.kernel
-    cols = np.empty((kh * kw * c1, outh * outw, input.c2 // 8), dtype=np.uint8)
-    for t, tap in enumerate(taps):
-        cols[t * c1 : (t + 1) * c1] = tap
+    (kh, kw), (sh, sw), (ph, pw) = p.kernel, p.stride, p.padding
+    c1, nbytes = input.c1, input.c2 // 8
+    padded = np.pad(input.data[0], ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    cols = np.empty((kh * kw, c1, outh, outw, nbytes), dtype=np.uint8)
+    for ky in range(kh):
+        for kx in range(kw):
+            cols[ky * kw + kx] = padded[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
+    cols = cols.reshape(kh * kw * c1, outh * outw, nbytes)
     return BinMatrix(kh * kw * c1, outh * outw, input.c2, cols)
 
 
@@ -216,42 +202,59 @@ def binary_direct_conv_counts(
 ) -> np.ndarray:
     """Raw per-position match counts of a direct convolution.
 
-    Returns (n, M, out_h * out_w) int32.  Each dot product accumulates the
-    per-byte cnt results of all K = kh*kw*c1 taps in widening 16-bit lanes
-    and reduces the lane vector to a scalar once at the end, instead of
-    after every tap; K beyond the lane capacity raises ``OverflowError``.
-    Output filters are processed in blocks with the K walk innermost.
+    Returns (n, M, out_h * out_w) int32.  Each c2-bit group is read as
+    words of the widest unsigned type dividing it.  The image is gathered
+    once into word planes, one contiguous row of out_h * out_w words per
+    (kernel tap, channel group, word), in the weight row order; each step
+    xors one weight word of all M filters against one plane and adds the
+    popcounts into a (M, out_h * out_w) uint16 accumulator, which is
+    widened once per image.  A dot product may span at most
+    ``MAX_GROUPS_PER_DOT`` bytes, else ``OverflowError``.
+
+    Words whose first channel is >= c hold only pad bits.  Pad bits must be
+    0 in both operands (``PackedWeight`` checks this for weights and
+    ``pack_to_nc1hwc2`` writes zeros), so such a word never mismatches and
+    is skipped; matches = kh*kw*c1*c2 - mismatches counts its bits as
+    matches.
     """
     outh, outw = _conv_geometry(input, p)
     if weights.vec_bits != input.c2:
         raise ValueError("group width mismatch between weights and input")
-    c1 = input.c1
-    kh, kw = p.kernel
-    k_total = kh * kw * c1
-    if weights.cols != k_total:
+    c1, c2 = input.c1, input.c2
+    (kh, kw), (sh, sw), (ph, pw) = p.kernel, p.stride, p.padding
+    if weights.cols != kh * kw * c1:
         raise ValueError(
-            f"weight matrix has {weights.cols} vectors per filter, expected {k_total}"
+            f"weight matrix has {weights.cols} vectors per filter, expected {kh * kw * c1}"
         )
-    if k_total > MAX_GROUPS_PER_DOT:
+    if kh * kw * c1 * c2 // 8 > MAX_GROUPS_PER_DOT:
         raise OverflowError("reduction overflow")
-    npos = outh * outw
-    m = weights.rows
-    wdata = weights.data
-    out = np.empty((input.dims[0], m, npos), dtype=np.int32)
-    for img in range(input.dims[0]):
-        taps = _image_taps(input.data[img], p, outh, outw)
-        for m0 in range(0, m, OUTPUT_CHANNEL_BLOCK):
-            m1 = min(m0 + OUTPUT_CHANNEL_BLOCK, m)
-            acc = np.zeros((m1 - m0, npos, input.c2 // 8), dtype=np.uint16)
-            k = 0
-            for tap in taps:
-                for g in range(c1):
-                    agree = np.bitwise_not(
-                        np.bitwise_xor(wdata[m0:m1, k][:, None, :], tap[g][None, :, :])
-                    )
-                    acc += np.bitwise_count(agree)
-                    k += 1
-            out[img, m0:m1] = acc.sum(axis=2, dtype=np.int32)
+    word = np.dtype(f"u{math.gcd(c2 // 8, 8)}")  # widest unsigned word dividing a group
+    word_bits = 8 * word.itemsize
+    slots = c1 * c2 // word_bits  # (group, word) slots per tap
+    # slots that hold at least one real channel, and their weight rows
+    live = np.flatnonzero(np.arange(slots) * word_bits < p.channels)
+    rows = (np.arange(kh * kw)[:, None] * slots + live).reshape(-1)
+    n, _, h, w = input.dims
+    m, npos = weights.rows, outh * outw
+    wwords = weights.data.view(word).reshape(m, kh * kw * slots)
+    mismatch = np.empty((m, npos), dtype=word)
+    bits = np.empty((m, npos), dtype=np.uint8)
+    out = np.empty((n, m, npos), dtype=np.int32)
+    for img in range(n):
+        image = np.zeros((live.size, h + 2 * ph, w + 2 * pw), dtype=word)
+        words = input.data[img].view(word).transpose(0, 3, 1, 2)
+        image[:, ph : ph + h, pw : pw + w] = words.reshape(-1, h, w)[live]
+        planes = np.empty((kh, kw, live.size, outh, outw), dtype=word)
+        for ky in range(kh):
+            for kx in range(kw):
+                planes[ky, kx] = image[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
+        planes = planes.reshape(-1, npos)
+        acc = np.zeros((m, npos), dtype=np.uint16)
+        for plane, r in zip(planes, rows):
+            np.bitwise_xor(wwords[:, r, None], plane, out=mismatch)
+            np.bitwise_count(mismatch, out=bits)
+            acc += bits
+        np.subtract(kh * kw * c1 * c2, acc, out=out[img], dtype=np.int32)
     return out
 
 

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import floatops
-from .kernels import BinMatrix, ConvParams, binary_direct_conv
+from .kernels import MAX_GROUPS_PER_DOT, BinMatrix, ConvParams, binary_direct_conv
 from .layout import FloatTensor, Layout, check_pad_bits, group_count, pack_to_nc1hwc2
 
 __all__ = [
@@ -249,6 +249,9 @@ def _window(node: Node, kernel, x) -> tuple[ConvParams, tuple[int, int]]:
     if attrs.kernel not in (None, tuple(kernel)):
         raise ValueError("kernel attribute does not match weight extents")
     p = ConvParams(kernel, x[1], attrs.stride or (1, 1), attrs.padding or (0, 0))
+    # as in ONNX: a padding as large as the kernel gives windows over padding only
+    if any(pad >= k for pad, k in zip(p.padding, p.kernel)):
+        raise ValueError(f"padding {p.padding} must be smaller than kernel {p.kernel}")
     return p, p.out_extent(x[2], x[3])
 
 
@@ -260,6 +263,11 @@ def _binary_conv(node, weights, x):
     if c != x[1]:
         raise ValueError(f"weight expects {c} input channels, input has {x[1]}")
     p, out = _window(node, (kh, kw), x)
+    if w.matrix.cols * w.c2 // 8 > MAX_GROUPS_PER_DOT:
+        raise ValueError(
+            f"dot product of {w.matrix.cols * w.c2} bits exceeds the "
+            f"{8 * MAX_GROUPS_PER_DOT}-bit accumulator capacity"
+        )
     return (x[0], m, *out), lambda t: binary_direct_conv(
         pack_to_nc1hwc2(t, w.c2), w.matrix, p
     )

@@ -140,7 +140,7 @@ def conv_cases(rng: np.random.Generator, count: int):
     preset, channel counts that do and do not divide the group width, both
     kernel sizes, strides and paddings.
     """
-    presets = (8, 16, 32, 64, 128)
+    presets = (8, 16, 32, 64, 128, 256, 512)
     for i in range(count):
         c2 = int(presets[i % len(presets)])
         c = int(rng.integers(1, 161))

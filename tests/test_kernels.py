@@ -301,11 +301,12 @@ class TestDirectConv:
         )
         assert got == want
 
-    def test_batched_input(self, rng):
-        x = rng.standard_normal((3, 4, 4, 8)).astype(np.float32)
-        wv = rng.choice(np.array([-1.0, 1.0], np.float32), size=(2, 8, 3, 3))
-        params = ConvParams(kernel=(3, 3), channels=8, padding=(1, 1))
-        got = binary_direct_conv(packed_from_values(x, 8), _weight_matrix(wv, 8), params)
+    @pytest.mark.parametrize("c,c2", [(8, 8), (64, 128)])
+    def test_batched_input(self, c, c2, rng):
+        x = rng.standard_normal((3, 4, 4, c)).astype(np.float32)
+        wv = rng.choice(np.array([-1.0, 1.0], np.float32), size=(2, c, 3, 3))
+        params = ConvParams(kernel=(3, 3), channels=c, padding=(1, 1))
+        got = binary_direct_conv(packed_from_values(x, c2), _weight_matrix(wv, c2), params)
         want = oracle_binary_conv(
             FloatTensor.from_array(x, Layout.NHWC),
             FloatTensor.from_array(wv, Layout.NCHW),

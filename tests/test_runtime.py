@@ -308,6 +308,24 @@ REJECTED = {
         {"w": packed(2, 8)},
         "kernel attribute does not match weight extents",
     ),
+    "max_pool_padding_not_below_kernel": (
+        (bad(OpKind.MAX_POOL, attrs=NodeAttrs(kernel=(1, 1), padding=(2**30, 2**30))),),
+        (1, 1, 2, 2),
+        {},
+        "must be smaller than kernel",
+    ),
+    "avg_pool_padding_equal_to_kernel": (
+        (bad(OpKind.AVG_POOL, attrs=NodeAttrs(kernel=(1, 1), padding=(1, 1))),),
+        (1, 1, 2, 2),
+        {},
+        "must be smaller than kernel",
+    ),
+    "binary_conv_beyond_accumulator_capacity": (
+        (bad(OpKind.BINARY_CONV, weights=("w",)),),
+        (1, 65536, 1, 1),
+        {"w": packed(1, 65536)},
+        "65536 bits exceeds the 65528-bit accumulator capacity",
+    ),
     "pool_without_kernel": (
         (bad(OpKind.AVG_POOL),),
         (1, 1, 4, 4),
