@@ -48,6 +48,12 @@ def _sign_values(a: np.ndarray) -> np.ndarray:
     return np.where(bits, np.float32(-1.0), np.float32(1.0))
 
 
+# Output positions per conv accumulator tile: numpy's broadcast multiply is
+# about 4x slower per element on shorter rows, and at 64 filters the tile and
+# its product buffer (1 MB each) stay in a 4 MB L2.
+_TILE_POSITIONS = 4096
+
+
 def _ordered_conv(
     x: np.ndarray,
     w: np.ndarray,
@@ -58,9 +64,14 @@ def _ordered_conv(
     """Cross-correlation with a fixed accumulation order.
 
     Per output element the additions run kernel-row fastest, then kernel
-    column, then input channel, starting from the bias.  One float32 add
+    column, then input channel, starting from 0 + bias.  One float32 add
     per contribution keeps the result bit-identical to a scalar reference
     loop with the same nesting.
+
+    Whole output rows are taken about ``_TILE_POSITIONS`` positions at a
+    time into a (filters, positions) accumulator; each tap gathers its input
+    plane into a contiguous buffer, multiplies it by the tap's weight column
+    and adds the products into the tile.
     """
     n, h, wd, c = x.shape
     m, wc, kh, kw = w.shape
@@ -69,20 +80,34 @@ def _ordered_conv(
     sh, sw = p.stride
     ph, pw = p.padding
     outh, outw = p.out_extent(h, wd)
-    if ph or pw:
-        padded = np.full((n, h + 2 * ph, wd + 2 * pw, c), pad_value, dtype=np.float32)
-        padded[:, ph : ph + h, pw : pw + wd, :] = x
-    else:
-        padded = x
-    acc = np.zeros((n, outh, outw, m), dtype=np.float32)
+    padded = np.full((n, c, h + 2 * ph, wd + 2 * pw), pad_value, dtype=np.float32)
+    padded[:, :, ph : ph + h, pw : pw + wd] = np.transpose(x, (0, 3, 1, 2))
+    init = np.zeros(m, dtype=np.float32)
     if bias is not None:
-        acc += np.asarray(bias, dtype=np.float32)
-    for ci in range(c):
-        for kx in range(kw):
-            for ky in range(kh):
-                tap = padded[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw, ci]
-                acc += tap[..., None] * w[:, ci, ky, kx]
-    return acc
+        init += np.asarray(bias, dtype=np.float32)
+    out = np.empty((n, outh, outw, m), dtype=np.float32)
+    rows = max(1, min(outh, _TILE_POSITIONS // outw))
+    acc_buf = np.empty((m, rows * outw), dtype=np.float32)
+    prod_buf = np.empty_like(acc_buf)
+    plane_buf = np.empty(rows * outw, dtype=np.float32)
+    for img in range(n):
+        for y0 in range(0, outh, rows):
+            r = min(rows, outh - y0)
+            acc, prod = acc_buf[:, : r * outw], prod_buf[:, : r * outw]
+            plane = plane_buf[: r * outw]
+            acc[...] = init[:, None]
+            for ci in range(c):
+                for kx in range(kw):
+                    for ky in range(kh):
+                        y = ky + sh * y0
+                        np.copyto(
+                            plane.reshape(r, outw),
+                            padded[img, ci, y : y + sh * r : sh, kx : kx + sw * outw : sw],
+                        )
+                        np.multiply(plane, w[:, ci, ky, kx, None], out=prod)
+                        np.add(acc, prod, out=acc)
+            out[img, y0 : y0 + r] = acc.T.reshape(r, outw, m)
+    return out
 
 
 def _conv_params(p: ConvParams | None, kh: int, kw: int, c: int) -> ConvParams:
@@ -246,11 +271,19 @@ def flatten(input: FloatTensor) -> FloatTensor:
     return FloatTensor.from_array(flat.reshape(input.dims[0], 1, 1, -1), Layout.NHWC)
 
 
+# Dense-layer terms per block: 4 MB of float32, so a large classifier does
+# not hold all its products at once (Bi-Real-Net-18's and VGG-small's fit one).
+_DENSE_TERMS = 1 << 20
+
+
 def fully_connected(input: FloatTensor, weights, bias=None) -> FloatTensor:
     """Dense layer over channel-major flattened features.
 
     ``weights`` is (out_features, in_features).  Accumulation walks input
-    features in order, one float32 add per feature, starting from the bias.
+    features in order, one float32 add per feature, starting from 0 + bias:
+    a block of outputs gets that start value and all its products in one
+    (n, outputs, 1 + in) array, and ``np.add.accumulate``, sequential by
+    definition, sums each row left to right.
     """
     feats = _channel_major_flat(input)
     w = np.asarray(weights, dtype=np.float32)
@@ -258,9 +291,15 @@ def fully_connected(input: FloatTensor, weights, bias=None) -> FloatTensor:
         raise ValueError(
             f"weight shape {w.shape} does not match {feats.shape[1]} input features"
         )
-    acc = np.zeros((feats.shape[0], w.shape[0]), dtype=np.float32)
+    n, (out, f) = feats.shape[0], w.shape
+    init = np.zeros(out, dtype=np.float32)
     if bias is not None:
-        acc += np.asarray(bias, dtype=np.float32)
-    for f in range(feats.shape[1]):
-        acc += feats[:, f, None] * w[None, :, f]
-    return FloatTensor.from_array(acc.reshape(feats.shape[0], 1, 1, -1), Layout.NHWC)
+        init += np.asarray(bias, dtype=np.float32)
+    acc = np.empty((n, out), dtype=np.float32)
+    block = max(1, _DENSE_TERMS // (n * (1 + f)))
+    for o in range(0, out, block):
+        terms = np.empty((n, min(block, out - o), 1 + f), dtype=np.float32)
+        terms[..., 0] = init[o : o + block]
+        np.multiply(feats[:, None, :], w[o : o + block], out=terms[..., 1:])
+        acc[:, o : o + block] = np.add.accumulate(terms, axis=2, out=terms)[..., -1]
+    return FloatTensor.from_array(acc.reshape(n, 1, 1, out), Layout.NHWC)

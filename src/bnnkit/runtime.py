@@ -252,6 +252,10 @@ def _window(node: Node, kernel, x) -> tuple[ConvParams, tuple[int, int]]:
     # as in ONNX: a padding as large as the kernel gives windows over padding only
     if any(pad >= k for pad, k in zip(p.padding, p.kernel)):
         raise ValueError(f"padding {p.padding} must be smaller than kernel {p.kernel}")
+    # with the kernel above the padding, this keeps each output extent at
+    # most twice the input's
+    if any(pad > extent for pad, extent in zip(p.padding, x[2:])):
+        raise ValueError(f"padding {p.padding} exceeds input extents {tuple(x[2:])}")
     return p, p.out_extent(x[2], x[3])
 
 

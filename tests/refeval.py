@@ -97,6 +97,43 @@ def naive_conv(
     return out
 
 
+def naive_fc(feats: np.ndarray, w: np.ndarray, bias) -> np.ndarray:
+    """Scalar dense layer: per output, 0 + bias, then one float32 add per feature in order.
+
+    ``feats`` is (n, in_features), ``w`` is (out_features, in_features).
+    """
+    n, f = feats.shape
+    out = np.empty((n, w.shape[0]), dtype=np.float32)
+    for img in range(n):
+        for o in range(w.shape[0]):
+            acc = np.float32(0.0 + bias[o]) if bias is not None else np.float32(0.0)
+            for i in range(f):
+                acc = np.float32(acc + np.float32(feats[img, i] * w[o, i]))
+            out[img, o] = acc
+    return out
+
+
+# float32 values where evaluation order shows: signed zeros, infinities,
+# denormals, magnitudes whose sums overflow, and NaN.  NaN comes in one bit
+# pattern, the one x86 makes for inf - inf or 0 * inf: where two NaNs of
+# different bits meet, numpy's float32 loops keep either one depending on the
+# element's place in the SIMD loop, whatever the order of evaluation.
+SPECIAL_F32 = np.array(
+    [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0xFFC00000, 0x00000001,
+     0x80000001, 0x00400000, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF, 0x3F800000,
+     0xBF800000],
+    dtype=np.uint32,
+).view(np.float32)
+
+
+def special_mix(rng: np.random.Generator, shape, share: float) -> np.ndarray:
+    """Standard normal float32 with about ``share`` of entries from SPECIAL_F32."""
+    x = rng.standard_normal(shape).astype(np.float32)
+    pick = rng.random(shape) < share
+    x[pick] = rng.choice(SPECIAL_F32, size=int(pick.sum()))
+    return x
+
+
 def naive_pool(
     x: np.ndarray,
     window: tuple[int, int],

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import refeval
+from bnnkit import floatops
 from bnnkit.floatops import (
     add,
     avgpool,
@@ -28,6 +31,68 @@ def nchw(values):
     return FloatTensor.from_array(np.asarray(values, np.float32), Layout.NCHW)
 
 
+def signs(a):
+    """±1 by the raw sign bit, as the binary oracle binarizes."""
+    return np.where(np.signbit(a), np.float32(-1.0), np.float32(1.0))
+
+
+def check_conv_bytes(x, w, bias, stride, pad):
+    """conv2d_f32 and oracle_binary_conv equal the scalar loop byte for byte."""
+    m, c, kh, kw = w.shape
+    params = ConvParams(kernel=(kh, kw), channels=c, stride=stride, padding=pad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = conv2d_f32(nhwc(x), nchw(w), bias, params).nhwc_array()
+        want = refeval.naive_conv(x, w, bias, stride, pad, 0.0)
+    assert got.tobytes() == want.tobytes()
+    got = oracle_binary_conv(nhwc(x), nchw(w), params).nhwc_array()
+    want = refeval.naive_conv(signs(x), signs(w), None, stride, pad, 1.0)
+    assert got.tobytes() == want.tobytes()
+
+
+def conv_operands(rng, xs, ws):
+    """Input, weights and bias with about one special value per operand per sum.
+
+    Denser specials would make almost every sum inf or NaN, whatever its order.
+    """
+    share = min(0.2, 1 / np.prod(ws[1:]))
+    mix = [refeval.special_mix(rng, shape, share) for shape in (xs, ws, ws[:1])]
+    mix[2][0] = -0.0
+    return mix
+
+
+# (input NHWC, weights OIHW, stride, padding) of the convs inference runs
+CONV_GEOMETRIES = {
+    "stem_7x7_s2_p3": ((1, 12, 12, 3), (4, 3, 7, 7), (2, 2), (3, 3)),
+    "shortcut_1x1": ((1, 5, 5, 8), (6, 8, 1, 1), (1, 1), (0, 0)),
+    "vgg_conv0_3x3_p1": ((1, 6, 6, 3), (5, 3, 3, 3), (1, 1), (1, 1)),
+    "asymmetric": ((1, 7, 9, 2), (3, 2, 3, 5), (2, 1), (0, 2)),
+    "batch_2": ((2, 5, 6, 3), (4, 3, 3, 3), (1, 1), (1, 1)),
+    # 66 x 70 outputs: tiles of 58 rows and a ragged last tile of 8
+    "ragged_last_tile": ((1, 131, 70, 1), (2, 1, 3, 1), (2, 1), (1, 0)),
+    # one output row holds more positions than a tile
+    "row_wider_than_tile": ((1, 2, 4100, 1), (1, 1, 1, 1), (1, 1), (0, 0)),
+}
+
+
+CONV_WORK_BUDGET = 4000
+
+
+@st.composite
+def conv_geometries(draw):
+    kh, kw = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    ph, pw = draw(st.integers(0, kh - 1)), draw(st.integers(0, kw - 1))
+    sh, sw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h = draw(st.integers(max(1, kh - 2 * ph), 12))
+    wd = draw(st.integers(max(1, kw - 2 * pw), 12))
+    n, c = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    outh, outw = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    # the scalar loop takes a few microseconds per multiply-add
+    per_filter = n * outh * outw * c * kh * kw
+    assume(per_filter <= CONV_WORK_BUDGET)
+    m = draw(st.integers(1, min(9, CONV_WORK_BUDGET // per_filter)))
+    return (n, h, wd, c), (m, c, kh, kw), (sh, sw), (ph, pw)
+
+
 class TestConv2d:
     def test_identity_kernel(self, rng):
         x = rng.standard_normal((1, 3, 2, 2)).astype(np.float32)
@@ -51,6 +116,37 @@ class TestConv2d:
         out = conv2d_f32(nhwc(x), nchw(w), bias, params)
         want = refeval.naive_conv(x, w, bias, (stride, stride), (pad, pad), 0.0)
         assert np.array_equal(out.nhwc_array(), want)
+
+    @pytest.mark.parametrize("case", list(CONV_GEOMETRIES))
+    def test_inference_geometry_against_scalar_loop(self, case, rng):
+        xs, ws, stride, pad = CONV_GEOMETRIES[case]
+        check_conv_bytes(*conv_operands(rng, xs, ws), stride, pad)
+
+    def test_tiles_cover_the_ragged_and_wide_cases(self):
+        tile = floatops._TILE_POSITIONS
+        (_, h, wd, _), (_, _, kh, _), (sh, _), (ph, _) = CONV_GEOMETRIES["ragged_last_tile"]
+        outh, outw = (h + 2 * ph - kh) // sh + 1, wd
+        assert outh % (tile // outw) and outh > tile // outw
+        assert CONV_GEOMETRIES["row_wider_than_tile"][0][2] > tile
+
+    def test_starts_from_zero_plus_bias(self, rng):
+        # every product is -0.0: from 0 + (-0.0) = +0.0 each sum stays +0.0,
+        # where starting from the bias or the first product would give -0.0
+        x = np.full((1, 4, 4, 2), -0.0, np.float32)
+        w = rng.uniform(0.5, 2.0, (3, 2, 3, 3)).astype(np.float32)
+        bias = np.full(3, -0.0, np.float32)
+        params = ConvParams(kernel=(3, 3), channels=2)
+        out = conv2d_f32(nhwc(x), nchw(w), bias, params).nhwc_array()
+        assert not np.signbit(out).any()
+        check_conv_bytes(x, w, bias, (1, 1), (0, 0))
+
+    @settings(max_examples=100, derandomize=True)
+    @given(geometry=conv_geometries(), seed=st.integers(0, 2**32 - 1))
+    def test_random_geometry_against_scalar_loop(self, geometry, seed):
+        xs, ws, stride, pad = geometry
+        rng = np.random.default_rng(seed)
+        x, w, bias = conv_operands(rng, xs, ws)
+        check_conv_bytes(x, w, bias if rng.random() < 0.5 else None, stride, pad)
 
     def test_layout_independent(self, rng):
         x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
@@ -207,6 +303,40 @@ class TestFlattenAndDense:
                 for i in range(6):
                     acc = np.float32(acc + np.float32(x[img, 0, 0, i] * w[f, i]))
                 assert out.array4d()[img, 0, 0, f] == acc
+
+    # VGG-small's classifier is 8192 x 10; specials there would make every
+    # sum inf or NaN, so that case checks the order on normal values
+    @pytest.mark.parametrize(
+        "n,features,outputs,share",
+        [(2, 7, 3, 0.2), (2, 64, 5, 1 / 64), (1, 8192, 10, 0.0)],
+    )
+    def test_fully_connected_special_values(self, n, features, outputs, share, rng):
+        x = refeval.special_mix(rng, (n, features), share)
+        w = refeval.special_mix(rng, (outputs, features), share)
+        bias = refeval.special_mix(rng, (outputs,), share)
+        bias[0] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fully_connected(nhwc(x.reshape(n, 1, 1, features)), w, bias)
+            want = refeval.naive_fc(x, w, bias)
+        assert out.array4d().reshape(n, outputs).tobytes() == want.tobytes()
+
+    def test_fully_connected_blocks_of_outputs(self, rng, monkeypatch):
+        # 2 images x (1 + 7) terms per output: blocks of 3, 3 and 1 outputs
+        monkeypatch.setattr(floatops, "_DENSE_TERMS", 50)
+        x = refeval.special_mix(rng, (2, 7), 0.2)
+        w = refeval.special_mix(rng, (7, 7), 0.2)
+        bias = refeval.special_mix(rng, (7,), 0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fully_connected(nhwc(x.reshape(2, 1, 1, 7)), w, bias)
+            want = refeval.naive_fc(x, w, bias)
+        assert out.array4d().reshape(2, 7).tobytes() == want.tobytes()
+
+    def test_fully_connected_starts_from_zero_plus_bias(self):
+        x = nhwc(np.full((2, 1, 1, 3), -0.0, np.float32))
+        w = np.ones((2, 3), np.float32)
+        out = fully_connected(x, w, np.full(2, -0.0, np.float32))
+        assert not np.signbit(out.data).any()
+        assert not np.signbit(fully_connected(x, w).data).any()
 
     def test_fully_connected_shape_error(self):
         with pytest.raises(ValueError):

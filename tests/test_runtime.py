@@ -320,6 +320,23 @@ REJECTED = {
         {},
         "must be smaller than kernel",
     ),
+    "max_pool_padding_beyond_input": (
+        (
+            bad(
+                OpKind.MAX_POOL,
+                attrs=NodeAttrs(kernel=(2**30, 2**30), padding=(2**30 - 1, 2**30 - 1)),
+            ),
+        ),
+        (1, 1, 2, 2),
+        {},
+        "exceeds input extents",
+    ),
+    "float_conv_padding_beyond_input": (
+        (bad(OpKind.FLOAT_CONV, attrs=NodeAttrs(padding=(3, 3)), weights=("w",)),),
+        (1, 1, 4, 2),
+        {"w": ones(1, 1, 5, 5)},
+        r"padding \(3, 3\) exceeds input extents \(4, 2\)",
+    ),
     "binary_conv_beyond_accumulator_capacity": (
         (bad(OpKind.BINARY_CONV, weights=("w",)),),
         (1, 65536, 1, 1),
