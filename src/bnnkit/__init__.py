@@ -13,7 +13,6 @@ from .convert import (
     detect_binary_convs,
     pack_conv_weight,
     parse_interchange,
-    unpack_conv_weight,
 )
 from .kernels import (
     BinMatrix,
@@ -30,11 +29,8 @@ from .layout import (
     FloatTensor,
     Layout,
     PackedTensor,
-    convert_layout,
     group_count,
-    index_nc1hwc2,
     pack_to_nc1hwc2,
-    unpack_from_nc1hwc2,
 )
 from .modelfile import (
     ModelFormatError,

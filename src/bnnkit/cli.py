@@ -85,6 +85,8 @@ def _cmd_convert(args) -> int:
         text = Path(args.input).read_text(encoding="utf-8")
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
+    except UnicodeDecodeError as exc:
+        return _fail(f"document is not UTF-8: {exc}", EXIT_VALIDATION)
     try:
         graph = parse_interchange(text)
         options = ConvertOptions(c2=args.c2, fuse_bn_sign=args.fuse_bn_sign)

@@ -6,10 +6,14 @@ The interchange document carries standard NCHW operator semantics in JSON:
      "values"}], "nodes": [{"op", "name", "inputs", "outputs",
      "attributes"}], "output": name}
 
-Conversion recognizes convolutions that are binary by construction (data
-input produced by a Sign node, weights exactly ±1), packs their weights
-into per-filter bit rows, and maps everything else onto the float runtime
-ops.  A report records per-initializer byte sizes before and after.
+Every supported op is one row of ``_OPS``: the runtime op it becomes, how
+many of its inputs are activations, how many initializers follow them, and
+the reader of its attributes.  Parsing checks inputs against the row;
+conversion reads it once per node, packs the weights of convolutions that
+are binary by construction (data input produced by a Sign node, weights
+exactly ±1) into per-filter bit rows, and can fold BatchNorm -> Sign pairs
+into threshold comparisons on the way.  A report records per-initializer
+byte sizes before and after.
 """
 
 from __future__ import annotations
@@ -21,15 +25,7 @@ import numpy as np
 
 from . import floatops
 from .kernels import BinMatrix
-from .layout import (
-    FloatTensor,
-    Layout,
-    PackedTensor,
-    check_group_bits,
-    group_count,
-    pack_to_nc1hwc2,
-    unpack_from_nc1hwc2,
-)
+from .layout import FloatTensor, Layout, check_group_bits, pack_to_nc1hwc2
 from .runtime import (
     Graph,
     GraphError,
@@ -53,21 +49,11 @@ __all__ = [
     "detect_binary_convs",
     "convert_model",
     "pack_conv_weight",
-    "unpack_conv_weight",
 ]
 
-_INPUT_COUNTS = {
-    "Sign": (1, 1),
-    "Conv": (2, 3),
-    "BatchNormalization": (5, 5),
-    "Relu": (1, 1),
-    "MaxPool": (1, 1),
-    "AveragePool": (1, 1),
-    "GlobalAveragePool": (1, 1),
-    "Add": (2, 2),
-    "Gemm": (2, 3),
-    "Flatten": (1, 1),
-}
+# the model format stores extents as u32 and attribute values as i32
+_DIM_LIMIT = 1 << 32
+_ATTR_LIMIT = 1 << 31
 
 
 class ConversionError(ValueError):
@@ -100,22 +86,124 @@ def _require(doc: dict, key: str, where: str):
 def _as_name(value, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConversionError(f"{where}: expected a non-empty string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConversionError(f"{where}: name is not valid UTF-8") from None
     return value
 
 
+def _is_int(value, lo: int, hi: int) -> bool:
+    """A JSON integer in [lo, hi); ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value < hi
+
+
 def _as_dims(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(d, int) and d >= 0 for d in value
-    ):
-        raise ConversionError(f"{where}: dims must be non-negative integers")
+    if not isinstance(value, list) or not all(_is_int(d, 0, _DIM_LIMIT) for d in value):
+        raise ConversionError(
+            f"{where}: dims must be non-negative integers below {_DIM_LIMIT}"
+        )
     return tuple(value)
+
+
+def _attr_ints(node: InterchangeNode, key: str, default, count: int, lo: int = -_ATTR_LIMIT):
+    value = node.attributes.get(key, default)
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != count
+        or not all(_is_int(v, lo, _ATTR_LIMIT) for v in value)
+    ):
+        raise ConversionError(f"node '{node.name}': bad '{key}' attribute")
+    return tuple(value)
+
+
+def _require_attr(node: InterchangeNode, key: str, expected) -> None:
+    value = node.attributes.get(key, expected)
+    items = value if isinstance(value, list) else [value]
+    if value != expected or any(isinstance(v, bool) for v in items):
+        raise ConversionError(
+            f"node '{node.name}': unsupported '{key}' value {value!r}"
+        )
+
+
+def _window_attrs(node: InterchangeNode, kernel) -> NodeAttrs:
+    kernel = _attr_ints(node, "kernel_shape", kernel, 2)
+    stride = _attr_ints(node, "strides", [1, 1], 2)
+    top, left, bottom, right = _attr_ints(node, "pads", [0, 0, 0, 0], 4, lo=0)
+    if top != bottom or left != right:
+        raise ConversionError(f"node '{node.name}': asymmetric pads unsupported")
+    return NodeAttrs(kernel=kernel, stride=stride, padding=(top, left))
+
+
+# Attribute readers: (node, its initializer arrays) -> NodeAttrs, raising
+# ConversionError for any attribute value the runtime op cannot express.
+def _no_attrs(node, params) -> NodeAttrs:
+    return NodeAttrs()
+
+
+def _conv_attrs(node, params) -> NodeAttrs:
+    _require_attr(node, "group", 1)
+    _require_attr(node, "dilations", [1, 1])
+    w = params[0]
+    if w.ndim != 4:
+        raise ConversionError(
+            f"node '{node.name}': Conv weights must have 4 dims, got {w.ndim}"
+        )
+    return _window_attrs(node, list(w.shape[2:]))
+
+
+def _batch_norm_attrs(node, params) -> NodeAttrs:
+    eps = node.attributes.get("epsilon", 1e-5)
+    if not (isinstance(eps, float) or _is_int(eps, -_ATTR_LIMIT, _ATTR_LIMIT)):
+        raise ConversionError(f"node '{node.name}': bad 'epsilon' attribute")
+    return NodeAttrs(epsilon=eps)
+
+
+def _pool_attrs(node, params) -> NodeAttrs:
+    return _window_attrs(node, None)
+
+
+def _avg_pool_attrs(node, params) -> NodeAttrs:
+    _require_attr(node, "count_include_pad", 0)
+    return _window_attrs(node, None)
+
+
+def _gemm_attrs(node, params) -> NodeAttrs:
+    for key, expected in (("alpha", 1.0), ("beta", 1.0), ("transA", 0), ("transB", 1)):
+        _require_attr(node, key, expected)
+    return NodeAttrs()
+
+
+def _flatten_attrs(node, params) -> NodeAttrs:
+    _require_attr(node, "axis", 1)
+    return NodeAttrs()
+
+
+# Interchange op -> (runtime op, activation inputs, (fewest, most)
+# initializer inputs after them, attribute reader).  A Conv becomes
+# BINARY_CONV instead when ``detect_binary_convs`` picks it and its weight
+# can be packed.
+_OPS = {
+    "Sign": (OpKind.SIGN, 1, (0, 0), _no_attrs),
+    "Conv": (OpKind.FLOAT_CONV, 1, (1, 2), _conv_attrs),
+    "BatchNormalization": (OpKind.BATCH_NORM, 1, (4, 4), _batch_norm_attrs),
+    "Relu": (OpKind.RELU, 1, (0, 0), _no_attrs),
+    "MaxPool": (OpKind.MAX_POOL, 1, (0, 0), _pool_attrs),
+    "AveragePool": (OpKind.AVG_POOL, 1, (0, 0), _avg_pool_attrs),
+    "GlobalAveragePool": (OpKind.GLOBAL_AVG_POOL, 1, (0, 0), _no_attrs),
+    "Add": (OpKind.ADD, 2, (0, 0), _no_attrs),
+    "Gemm": (OpKind.FULLY_CONNECTED, 1, (1, 2), _gemm_attrs),
+    "Flatten": (OpKind.FLATTEN, 1, (0, 0), _flatten_attrs),
+}
 
 
 def parse_interchange(text: str) -> InterchangeGraph:
     """Parse and structurally validate an interchange JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers too long to convert, RecursionError
+        # nesting too deep for the decoder
         raise ConversionError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConversionError("$: document must be an object")
@@ -165,6 +253,7 @@ def parse_interchange(text: str) -> InterchangeGraph:
         raise ConversionError("$: duplicate names across inputs and initializers")
 
     nodes = []
+    node_names: set[str] = set()
     raw_nodes = _require(doc, "nodes", "$")
     if not isinstance(raw_nodes, list):
         raise ConversionError("$.nodes: expected a list")
@@ -173,8 +262,12 @@ def parse_interchange(text: str) -> InterchangeGraph:
         if not isinstance(item, dict):
             raise ConversionError(f"{where}: expected an object")
         op = _as_name(_require(item, "op", where), f"{where}.op")
-        name = item.get("name") or f"{op}_{i}"
-        if op not in _INPUT_COUNTS:
+        name = item.get("name")
+        name = f"{op}_{i}" if name in (None, "") else _as_name(name, f"{where}.name")
+        if name in node_names:
+            raise ConversionError(f"{where}: duplicate node name '{name}'")
+        node_names.add(name)
+        if op not in _OPS:
             raise ConversionError(f"{where}: unknown op '{op}' (node '{name}')")
         node_inputs = _require(item, "inputs", where)
         if not isinstance(node_inputs, list):
@@ -182,7 +275,8 @@ def parse_interchange(text: str) -> InterchangeGraph:
         node_inputs = tuple(
             _as_name(s, f"{where}.inputs[{j}]") for j, s in enumerate(node_inputs)
         )
-        lo, hi = _INPUT_COUNTS[op]
+        _, data, (fewest, most), _ = _OPS[op]
+        lo, hi = data + fewest, data + most
         if not lo <= len(node_inputs) <= hi:
             raise ConversionError(
                 f"{where}: op '{op}' takes {lo}..{hi} inputs, got {len(node_inputs)}"
@@ -190,6 +284,10 @@ def parse_interchange(text: str) -> InterchangeGraph:
         for j, src in enumerate(node_inputs):
             if src not in available:
                 raise ConversionError(f"{where}.inputs[{j}]: unresolved name '{src}'")
+            if j >= data and src not in initializers:
+                raise ConversionError(
+                    f"{where}.inputs[{j}]: '{src}' of node '{name}' must be an initializer"
+                )
         outputs = _require(item, "outputs", where)
         if not isinstance(outputs, list) or len(outputs) != 1:
             raise ConversionError(f"{where}.outputs: exactly one output required")
@@ -199,8 +297,6 @@ def parse_interchange(text: str) -> InterchangeGraph:
         attributes = item.get("attributes", {})
         if not isinstance(attributes, dict):
             raise ConversionError(f"{where}.attributes: expected an object")
-        if op == "Conv" and node_inputs[1] not in initializers:
-            raise ConversionError(f"{where}: Conv weight must be an initializer")
         available.add(output)
         nodes.append(InterchangeNode(op, name, node_inputs, output, attributes))
 
@@ -246,15 +342,6 @@ def pack_conv_weight(values: np.ndarray, c2: int = 128) -> PackedWeight:
     return PackedWeight((m, c, kh, kw), packed.c2, BinMatrix(m, k, packed.c2, rows))
 
 
-def unpack_conv_weight(weight: PackedWeight) -> np.ndarray:
-    """Recover the ±1 float32 (out, in, kh, kw) filter bank from packed rows."""
-    m, c, kh, kw = weight.dims
-    c1 = group_count(c, weight.c2)
-    groups = weight.matrix.data.reshape(m, kh, kw, c1, weight.c2 // 8)
-    packed = PackedTensor(weight.dims, weight.c2, groups.transpose(0, 3, 1, 2, 4))
-    return unpack_from_nc1hwc2(packed).nhwc_array().transpose(0, 3, 1, 2).copy()
-
-
 @dataclass(frozen=True)
 class ConvertOptions:
     c2: int = 128
@@ -281,182 +368,6 @@ class ConversionReport:
                 "warnings": self.warnings,
             },
             indent=2,
-        )
-
-
-def _attr_pair(node: InterchangeNode, key: str, default) -> tuple[int, int]:
-    value = node.attributes.get(key, default)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) for v in value)
-    ):
-        raise ConversionError(f"node '{node.name}': bad '{key}' attribute")
-    return (value[0], value[1])
-
-
-def _attr_pads(node: InterchangeNode) -> tuple[int, int]:
-    value = node.attributes.get("pads", [0, 0, 0, 0])
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 4
-        or not all(isinstance(v, int) and v >= 0 for v in value)
-    ):
-        raise ConversionError(f"node '{node.name}': bad 'pads' attribute")
-    top, left, bottom, right = value
-    if top != bottom or left != right:
-        raise ConversionError(f"node '{node.name}': asymmetric pads unsupported")
-    return (top, left)
-
-
-def _require_attr(node: InterchangeNode, key: str, expected) -> None:
-    value = node.attributes.get(key, expected)
-    if value != expected:
-        raise ConversionError(
-            f"node '{node.name}': unsupported '{key}' value {value!r}"
-        )
-
-
-def _param_init(g: InterchangeGraph, node: InterchangeNode, idx: int) -> str:
-    name = node.inputs[idx]
-    if name not in g.initializers:
-        raise ConversionError(
-            f"node '{node.name}': input '{name}' must be an initializer"
-        )
-    return name
-
-
-class _GraphBuilder:
-    def __init__(self, g: InterchangeGraph, options: ConvertOptions) -> None:
-        self.source = g
-        self.options = options
-        self.nodes: list[Node] = []
-        self.inits: dict[str, Initializer] = {}
-        self.warnings: list[str] = []
-        self.binary = detect_binary_convs(g)
-        self.input_refs: dict[str, int] = {}
-        for node in g.nodes:
-            for src in node.inputs:
-                self.input_refs[src] = self.input_refs.get(src, 0) + 1
-
-    def _copy_float(self, name: str) -> str:
-        self.inits.setdefault(name, self.source.initializers[name])
-        return name
-
-    def convert_node(self, node: InterchangeNode) -> None:
-        op = node.op
-        if op == "Sign":
-            self.nodes.append(Node(OpKind.SIGN, node.name, node.inputs, node.output))
-        elif op == "Conv":
-            self._convert_conv(node)
-        elif op == "BatchNormalization":
-            eps = float(node.attributes.get("epsilon", 1e-5))
-            params = tuple(
-                self._copy_float(_param_init(self.source, node, i)) for i in range(1, 5)
-            )
-            self.nodes.append(
-                Node(
-                    OpKind.BATCH_NORM,
-                    node.name,
-                    node.inputs[:1],
-                    node.output,
-                    NodeAttrs(epsilon=eps),
-                    params,
-                )
-            )
-        elif op == "Relu":
-            self.nodes.append(Node(OpKind.RELU, node.name, node.inputs, node.output))
-        elif op in ("MaxPool", "AveragePool"):
-            if op == "AveragePool":
-                _require_attr(node, "count_include_pad", 0)
-            kind = OpKind.MAX_POOL if op == "MaxPool" else OpKind.AVG_POOL
-            attrs = NodeAttrs(
-                kernel=_attr_pair(node, "kernel_shape", None),
-                stride=_attr_pair(node, "strides", [1, 1]),
-                padding=_attr_pads(node),
-            )
-            self.nodes.append(Node(kind, node.name, node.inputs, node.output, attrs))
-        elif op == "GlobalAveragePool":
-            self.nodes.append(
-                Node(OpKind.GLOBAL_AVG_POOL, node.name, node.inputs, node.output)
-            )
-        elif op == "Add":
-            self.nodes.append(Node(OpKind.ADD, node.name, node.inputs, node.output))
-        elif op == "Gemm":
-            _require_attr(node, "alpha", 1.0)
-            _require_attr(node, "beta", 1.0)
-            _require_attr(node, "transA", 0)
-            _require_attr(node, "transB", 1)
-            names = [self._copy_float(_param_init(self.source, node, 1))]
-            if len(node.inputs) > 2:
-                names.append(self._copy_float(_param_init(self.source, node, 2)))
-            self.nodes.append(
-                Node(
-                    OpKind.FULLY_CONNECTED,
-                    node.name,
-                    node.inputs[:1],
-                    node.output,
-                    weights=tuple(names),
-                )
-            )
-        elif op == "Flatten":
-            _require_attr(node, "axis", 1)
-            self.nodes.append(Node(OpKind.FLATTEN, node.name, node.inputs, node.output))
-
-    def _convert_conv(self, node: InterchangeNode) -> None:
-        _require_attr(node, "group", 1)
-        _require_attr(node, "dilations", [1, 1])
-        weight_name = node.inputs[1]
-        w = self.source.initializers[weight_name]
-        if w.ndim != 4:
-            raise ConversionError(
-                f"node '{node.name}': Conv weights must have 4 dims, got {w.ndim}"
-            )
-        kernel = _attr_pair(node, "kernel_shape", list(w.shape[2:]))
-        stride = _attr_pair(node, "strides", [1, 1])
-        padding = _attr_pads(node)
-        attrs = NodeAttrs(kernel=kernel, stride=stride, padding=padding)
-        has_bias = len(node.inputs) > 2
-        shared = self.input_refs.get(weight_name, 0) > 1
-        if node.name in self.binary and has_bias:
-            self.warnings.append(
-                f"conv '{node.name}': bias input prevents binary packing; kept full precision"
-            )
-        if node.name in self.binary and shared and not has_bias:
-            self.warnings.append(
-                f"conv '{node.name}': weight '{weight_name}' is shared; kept full precision"
-            )
-        if node.name in self.binary and not has_bias and not shared:
-            packed = pack_conv_weight(w, self.options.c2)
-            self.inits[weight_name] = packed
-            if max(padding) > 0:
-                self.warnings.append(
-                    f"conv '{node.name}': border taps use +1 padding after binarization, "
-                    "not the float zero padding"
-                )
-            self.nodes.append(
-                Node(
-                    OpKind.BINARY_CONV,
-                    node.name,
-                    node.inputs[:1],
-                    node.output,
-                    attrs,
-                    (weight_name,),
-                )
-            )
-            return
-        names = [self._copy_float(weight_name)]
-        if has_bias:
-            names.append(self._copy_float(_param_init(self.source, node, 2)))
-        self.nodes.append(
-            Node(
-                OpKind.FLOAT_CONV,
-                node.name,
-                node.inputs[:1],
-                node.output,
-                attrs,
-                tuple(names),
-            )
         )
 
 
@@ -509,70 +420,45 @@ def _threshold_tables(gamma, beta, mean, scale):
 
 
 def _fuse_bn_sign(
-    nodes: list[Node],
-    inits: dict[str, Initializer],
-    graph_output: str,
+    bn: InterchangeNode,
+    sign: InterchangeNode,
+    params: list[np.ndarray],
+    eps: float,
+    initializers: dict[str, np.ndarray],
     warnings: list[str],
-) -> list[Node]:
-    """Replace BatchNorm -> Sign pairs with a single threshold comparison.
+) -> dict[str, np.ndarray] | None:
+    """Threshold tables that replace a BatchNorm -> Sign pair, keyed by name.
 
-    Only fused when the Sign node is the sole consumer of the BatchNorm
-    output and that output is not the graph output; degenerate parameters
-    (non-finite, or a zero denominator) are skipped with a warning.
+    Returns None, with a warning, when the parameters are degenerate
+    (non-finite, or a zero denominator) or a table name is already an
+    initializer of the document.
     """
-    by_input: dict[str, list[Node]] = {}
-    for node in nodes:
-        for src in node.inputs:
-            by_input.setdefault(src, []).append(node)
-    fused: dict[str, Node] = {}  # bn output -> replacement
-    dropped: set[str] = set()
-    for node in nodes:
-        if node.kind is not OpKind.BATCH_NORM or node.output == graph_output:
-            continue
-        users = by_input.get(node.output, [])
-        if len(users) != 1 or users[0].kind is not OpKind.SIGN:
-            continue
-        sign = users[0]
-        gamma, beta, mean, var = (np.asarray(inits[n], np.float32) for n in node.weights)
-        eps = node.attrs.epsilon if node.attrs.epsilon is not None else 1e-5
-        finite = (
-            np.all(np.isfinite(gamma))
-            and np.all(gamma != 0)
-            and np.all(np.isfinite(beta))
-            and np.all(np.isfinite(mean))
-            and np.all(np.isfinite(var))
-            and np.all(var >= 0)
+    key_name = f"{bn.name}.thresh_key"
+    inv_name = f"{bn.name}.thresh_invert"
+    taken = [n for n in (key_name, inv_name) if n in initializers]
+    if taken:
+        warnings.append(
+            f"bn '{bn.name}': initializer '{taken[0]}' already exists, "
+            f"fusion with '{sign.name}' skipped"
         )
-        scale = floatops.bn_scale(var, eps) if finite else None
-        if scale is None or not np.all(np.isfinite(scale) & (scale > 0)):
-            warnings.append(
-                f"bn '{node.name}': degenerate parameters, fusion with '{sign.name}' skipped"
-            )
-            continue
-        keys, invert = _threshold_tables(gamma, beta, mean, scale)
-        key_name = f"{node.name}.thresh_key"
-        inv_name = f"{node.name}.thresh_invert"
-        inits[key_name] = keys.view(np.float32)
-        inits[inv_name] = invert.astype(np.float32)
-        fused[node.output] = Node(
-            OpKind.THRESHOLD_SIGN,
-            f"{node.name}+{sign.name}",
-            node.inputs,
-            sign.output,
-            weights=(key_name, inv_name),
+        return None
+    gamma, beta, mean, var = (np.asarray(a, np.float32) for a in params)
+    finite = (
+        np.all(np.isfinite(gamma))
+        and np.all(gamma != 0)
+        and np.all(np.isfinite(beta))
+        and np.all(np.isfinite(mean))
+        and np.all(np.isfinite(var))
+        and np.all(var >= 0)
+    )
+    scale = floatops.bn_scale(var, eps) if finite else None
+    if scale is None or not np.all(np.isfinite(scale) & (scale > 0)):
+        warnings.append(
+            f"bn '{bn.name}': degenerate parameters, fusion with '{sign.name}' skipped"
         )
-        dropped.add(sign.name)
-    if not fused:
-        return nodes
-    out: list[Node] = []
-    for node in nodes:
-        if node.kind is OpKind.BATCH_NORM and node.output in fused:
-            out.append(fused[node.output])
-        elif node.kind is OpKind.SIGN and node.name in dropped:
-            continue
-        else:
-            out.append(node)
-    return out
+        return None
+    keys, invert = _threshold_tables(gamma, beta, mean, scale)
+    return {key_name: keys.view(np.float32), inv_name: invert.astype(np.float32)}
 
 
 def _payload_bytes(init: Initializer) -> int:
@@ -586,20 +472,60 @@ def convert_model(
 ) -> tuple[PackedModel, ConversionReport]:
     """Convert an interchange graph into a packed model plus a size report."""
     check_group_bits(options.c2)
-    builder = _GraphBuilder(g, options)
+    binary = detect_binary_convs(g)
+    readers: dict[str, list[InterchangeNode]] = {}
     for node in g.nodes:
-        builder.convert_node(node)
-    nodes = builder.nodes
-    inits = builder.inits
-    if options.fuse_bn_sign:
-        nodes = _fuse_bn_sign(nodes, inits, g.output, builder.warnings)
-
-    referenced: set[str] = set()
-    for node in nodes:
-        referenced.update(node.weights)
-    for name in list(inits):
-        if name not in referenced:
-            del inits[name]
+        for src in node.inputs:
+            readers.setdefault(src, []).append(node)
+    nodes: list[Node] = []
+    inits: dict[str, Initializer] = {}
+    warnings: list[str] = []
+    fusion_warnings: list[str] = []
+    folded: set[str] = set()  # Sign nodes already part of a ThresholdSign
+    for node in g.nodes:
+        if node.name in folded:
+            continue
+        kind, data, _, read_attrs = _OPS[node.op]
+        inputs, weights = node.inputs[:data], node.inputs[data:]
+        name, output = node.name, node.output
+        params = [g.initializers[w] for w in weights]
+        attrs = read_attrs(node, params)
+        added: dict[str, Initializer] = dict(zip(weights, params))
+        if node.name in binary:
+            if len(weights) > 1:
+                warnings.append(
+                    f"conv '{node.name}': bias input prevents binary packing; kept full precision"
+                )
+            elif len(readers[weights[0]]) > 1:
+                warnings.append(
+                    f"conv '{node.name}': weight '{weights[0]}' is shared; kept full precision"
+                )
+            else:
+                kind = OpKind.BINARY_CONV
+                added = {weights[0]: pack_conv_weight(params[0], options.c2)}
+                if max(attrs.padding) > 0:
+                    warnings.append(
+                        f"conv '{node.name}': border taps use +1 padding after binarization, "
+                        "not the float zero padding"
+                    )
+        users = readers.get(output, [])
+        if (
+            options.fuse_bn_sign
+            and kind is OpKind.BATCH_NORM
+            and output != g.output
+            and len(users) == 1
+            and users[0].op == "Sign"
+        ):
+            sign = users[0]
+            tables = _fuse_bn_sign(
+                node, sign, params, attrs.epsilon, g.initializers, fusion_warnings
+            )
+            if tables is not None:
+                kind, attrs, weights = OpKind.THRESHOLD_SIGN, NodeAttrs(), tuple(tables)
+                name, output, added = f"{node.name}+{sign.name}", sign.output, tables
+                folded.add(sign.name)
+        inits.update(added)
+        nodes.append(Node(kind, name, inputs, output, attrs, weights))
 
     rows = []
     before_total = after_total = 0
@@ -616,7 +542,7 @@ def convert_model(
             after_total += after
 
     ratio = (before_total / after_total) if after_total else 1.0
-    report = ConversionReport(rows, float(ratio), builder.warnings)
+    report = ConversionReport(rows, float(ratio), warnings + fusion_warnings)
 
     try:
         graph_inputs = tuple(GraphInput(name, dims) for name, dims in g.inputs)

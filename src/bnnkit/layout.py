@@ -26,10 +26,7 @@ __all__ = [
     "check_group_bits",
     "check_pad_bits",
     "group_count",
-    "index_nc1hwc2",
-    "convert_layout",
     "pack_to_nc1hwc2",
-    "unpack_from_nc1hwc2",
 ]
 
 
@@ -127,16 +124,6 @@ class FloatTensor:
         return a if self.layout is Layout.NHWC else np.transpose(a, (0, 2, 3, 1))
 
 
-def convert_layout(t: FloatTensor, target: Layout) -> FloatTensor:
-    """Repack to the target storage order; values are unchanged."""
-    target = Layout(target)
-    if t.layout is target:
-        return t
-    perm = (0, 2, 3, 1) if target is Layout.NHWC else (0, 3, 1, 2)
-    data = np.ascontiguousarray(np.transpose(t.array4d(), perm))
-    return FloatTensor(t.dims, target, data.reshape(-1))
-
-
 @dataclass(frozen=True, eq=False)
 class PackedTensor:
     """Bit-packed binary tensor in channel-grouped order.
@@ -177,23 +164,6 @@ class PackedTensor:
         return group_count(self.dims[1], self.c2)
 
 
-def index_nc1hwc2(
-    dims: tuple[int, int, int, int], c2: int, n: int, c: int, h: int, w: int
-) -> tuple[int, int]:
-    """(group_offset, bit_offset) of logical element (n, c, h, w).
-
-    Groups are laid out image-major, then channel group, then row, then
-    column; the bit offset addresses the channel inside its c2-bit group.
-    """
-    c2 = check_group_bits(c2)
-    dn, dc, dh, dw = dims
-    if not (0 <= n < dn and 0 <= c < dc and 0 <= h < dh and 0 <= w < dw):
-        raise IndexError("index out of bounds")
-    c1 = group_count(dc, c2)
-    group = ((n * c1 + c // c2) * dh + h) * dw + w
-    return group, c % c2
-
-
 def pack_to_nc1hwc2(t: FloatTensor, c2: int = 128) -> PackedTensor:
     """Binarize to sign bits and pack into the channel-grouped layout."""
     c2 = check_group_bits(c2)
@@ -208,14 +178,3 @@ def pack_to_nc1hwc2(t: FloatTensor, c2: int = 128) -> PackedTensor:
         sign = np.concatenate([sign, pad], axis=-1)
     grouped = sign.reshape(n, h, w, c1, c2).transpose(0, 3, 1, 2, 4)
     return PackedTensor(t.dims, c2, np.packbits(grouped, axis=-1, bitorder="little"))
-
-
-def unpack_from_nc1hwc2(p: PackedTensor) -> FloatTensor:
-    """Recover a ±1-valued NHWC tensor; channel pad bits are dropped."""
-    n, c, h, w = p.dims
-    if 0 in (n, c, h, w):
-        return FloatTensor(p.dims, Layout.NHWC, np.zeros(0, np.float32))
-    bits = np.unpackbits(p.data, axis=-1, count=p.c2, bitorder="little")
-    bits = bits.transpose(0, 2, 3, 1, 4).reshape(n, h, w, p.c1 * p.c2)[..., :c]
-    values = np.where(bits, np.float32(-1.0), np.float32(1.0))
-    return FloatTensor.from_array(values, Layout.NHWC)

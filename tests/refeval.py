@@ -18,7 +18,8 @@ import numpy as np
 from bnnkit import floatops
 from bnnkit.convert import InterchangeGraph
 from bnnkit.kernels import BinMatrix, ConvParams
-from bnnkit.layout import FloatTensor, Layout, PackedTensor
+from bnnkit.layout import FloatTensor, Layout, PackedTensor, check_group_bits, group_count
+from bnnkit.runtime import PackedWeight
 
 
 def signbit32(x) -> int:
@@ -34,6 +35,53 @@ def packed_bit(p: PackedTensor, group: int, bit: int) -> int:
     """Bit (group, bit) of a packed tensor, read byte by byte."""
     flat = p.data.reshape(-1, p.c2 // 8)
     return (int(flat[group, bit // 8]) >> (bit % 8)) & 1
+
+
+def index_nc1hwc2(
+    dims: tuple[int, int, int, int], c2: int, n: int, c: int, h: int, w: int
+) -> tuple[int, int]:
+    """(group_offset, bit_offset) of logical element (n, c, h, w).
+
+    Groups are laid out image-major, then channel group, then row, then
+    column; the bit offset addresses the channel inside its c2-bit group.
+    """
+    c2 = check_group_bits(c2)
+    dn, dc, dh, dw = dims
+    if not (0 <= n < dn and 0 <= c < dc and 0 <= h < dh and 0 <= w < dw):
+        raise IndexError("index out of bounds")
+    c1 = group_count(dc, c2)
+    group = ((n * c1 + c // c2) * dh + h) * dw + w
+    return group, c % c2
+
+
+def convert_layout(t: FloatTensor, target: Layout) -> FloatTensor:
+    """Repack to the target storage order; values are unchanged."""
+    target = Layout(target)
+    if t.layout is target:
+        return t
+    perm = (0, 2, 3, 1) if target is Layout.NHWC else (0, 3, 1, 2)
+    data = np.ascontiguousarray(np.transpose(t.array4d(), perm))
+    return FloatTensor(t.dims, target, data.reshape(-1))
+
+
+def unpack_from_nc1hwc2(p: PackedTensor) -> FloatTensor:
+    """Recover a ±1-valued NHWC tensor; channel pad bits are dropped."""
+    n, c, h, w = p.dims
+    if 0 in (n, c, h, w):
+        return FloatTensor(p.dims, Layout.NHWC, np.zeros(0, np.float32))
+    bits = np.unpackbits(p.data, axis=-1, count=p.c2, bitorder="little")
+    bits = bits.transpose(0, 2, 3, 1, 4).reshape(n, h, w, p.c1 * p.c2)[..., :c]
+    values = np.where(bits, np.float32(-1.0), np.float32(1.0))
+    return FloatTensor.from_array(values, Layout.NHWC)
+
+
+def unpack_conv_weight(weight: PackedWeight) -> np.ndarray:
+    """Recover the ±1 float32 (out, in, kh, kw) filter bank from packed rows."""
+    m, c, kh, kw = weight.dims
+    c1 = group_count(c, weight.c2)
+    groups = weight.matrix.data.reshape(m, kh, kw, c1, weight.c2 // 8)
+    packed = PackedTensor(weight.dims, weight.c2, groups.transpose(0, 3, 1, 2, 4))
+    return unpack_from_nc1hwc2(packed).nhwc_array().transpose(0, 3, 1, 2).copy()
 
 
 def bin_matrix(grid, vec_bits: int) -> BinMatrix:

@@ -18,6 +18,7 @@ import numpy as np
 
 import conftest
 import refeval
+from refeval import index_nc1hwc2, unpack_from_nc1hwc2
 from bnnkit.bitpack import pack_naive
 from bnnkit.cli import main as cli_main
 from bnnkit.convert import (
@@ -42,9 +43,7 @@ from bnnkit.layout import (
     Layout,
     PackedTensor,
     group_count,
-    index_nc1hwc2,
     pack_to_nc1hwc2,
-    unpack_from_nc1hwc2,
 )
 from bnnkit.modelfile import (
     ModelFormatError,

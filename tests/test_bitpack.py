@@ -13,8 +13,8 @@ from bnnkit.layout import (
     Layout,
     PackedTensor,
     pack_to_nc1hwc2,
-    unpack_from_nc1hwc2,
 )
+from refeval import unpack_from_nc1hwc2
 
 NEG_NAN = np.uint32(0xFFC00000).view(np.float32)
 POS_NAN = np.uint32(0x7FC00000).view(np.float32)

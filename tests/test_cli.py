@@ -130,6 +130,12 @@ class TestConvertCommand:
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["convert", str(tmp_path / "no.json"), str(tmp_path / "m")]) == 2
 
+    def test_non_utf8_document_exit_1(self, tmp_path, capsys):
+        doc = tmp_path / "g.json"
+        doc.write_bytes(b"\xff\xfe{")
+        assert main(["convert", str(doc), str(tmp_path / "m.dabn")]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_unwritable_output_exit_2(self, tmp_path):
         doc = tmp_path / "g.json"
         doc.write_text(tiny_doc())

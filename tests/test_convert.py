@@ -1,9 +1,15 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refeval
+from refeval import unpack_conv_weight
+from bnnkit import convert, runtime
+from bnnkit.cli import main
 from bnnkit.convert import (
     ConversionError,
     ConvertOptions,
@@ -11,7 +17,6 @@ from bnnkit.convert import (
     detect_binary_convs,
     pack_conv_weight,
     parse_interchange,
-    unpack_conv_weight,
 )
 from bnnkit.layout import FloatTensor, Layout
 from bnnkit.modelfile import serialize_model
@@ -107,6 +112,15 @@ class TestParse:
     def test_malformed_json(self):
         with pytest.raises(ConversionError, match="malformed JSON"):
             parse_interchange("{nope")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '{"inputs": ' + "7" * 5000 + "}"],
+        ids=["deep_nesting", "long_integer"],
+    )
+    def test_json_beyond_decoder_limits(self, text):
+        with pytest.raises(ConversionError, match="malformed JSON"):
+            parse_interchange(text)
 
     def test_document_must_be_object(self):
         with pytest.raises(ConversionError, match=r"\$: document"):
@@ -503,3 +517,332 @@ class TestBnSignFusion:
         x = refeval.random_input_for(g, gen)
         model, _ = convert_model(g, ConvertOptions(c2=16, fuse_bn_sign=True))
         assert execute(model, x) == refeval.reference_eval(g, x)
+
+
+def every_op_doc() -> str:
+    """One node per interchange op, and every warning kind in one report.
+
+    A degenerate (zero-gamma) BatchNorm -> Sign comes first, ahead of a
+    padded binary conv, a conv whose bias blocks packing and two convs
+    sharing one weight, so a fused report pins conversion warnings in node
+    order followed by fusion warnings.  ``unused`` is read by no node.
+    """
+    rng = np.random.default_rng(606)
+    c = 4
+    inits, nodes = [], []
+
+    def init(name, arr):
+        inits.append(init_entry(name, arr))
+        return name
+
+    def bn_params(tag, gamma):
+        return [
+            init(f"{tag}.g", gamma),
+            init(f"{tag}.b", rng.standard_normal(c) * 0.2),
+            init(f"{tag}.m", rng.standard_normal(c) * 0.2),
+            init(f"{tag}.v", rng.uniform(0.5, 2.0, c)),
+        ]
+
+    def node(op, name, inputs, output, **attributes):
+        nodes.append(
+            {
+                "op": op,
+                "name": name,
+                "inputs": inputs,
+                "outputs": [output],
+                "attributes": attributes,
+            }
+        )
+
+    init("unused", np.ones(3))
+    bn0 = bn_params("bn0", [0.0, 1.0, -1.0, 0.5])
+    node("BatchNormalization", "bn0", ["input", *bn0], "t0", epsilon=1e-3)
+    node("Sign", "s0", ["t0"], "t1")
+    w0 = init("w0", pm1(rng, (c, c, 3, 3)))
+    node("Conv", "padded", ["t1", w0], "t2", kernel_shape=[3, 3], pads=[1, 1, 1, 1])
+    node("BatchNormalization", "bn1", ["t2", *bn_params("bn1", rng.uniform(0.5, 1.5, c))], "t3")
+    node("Sign", "s1", ["t3"], "t4")
+    w1, b1 = init("w1", pm1(rng, (c, c, 1, 1))), init("b1", rng.standard_normal(c))
+    node("Conv", "biased", ["t4", w1, b1], "t5")
+    node("Relu", "relu", ["t5"], "t6")
+    node("Sign", "s2", ["t6"], "t7")
+    node("Conv", "shared_a", ["t7", init("ws", pm1(rng, (c, c, 1, 1)))], "t8")
+    node("Sign", "s3", ["t8"], "t9")
+    node("Conv", "shared_b", ["t9", "ws"], "t10")
+    node("Add", "add", ["t10", "t5"], "t11")
+    node("MaxPool", "maxpool", ["t11"], "t12", kernel_shape=[2, 2])
+    node(
+        "AveragePool", "avgpool", ["t12"], "t13",
+        kernel_shape=[3, 3], pads=[1, 1, 1, 1], count_include_pad=0,
+    )
+    node("GlobalAveragePool", "gap", ["t13"], "t14")
+    node("Flatten", "flatten", ["t14"], "t15", axis=1)
+    wf, bf = init("wf", rng.standard_normal((3, c))), init("bf", rng.standard_normal(3))
+    node("Gemm", "fc", ["t15", wf, bf], "t16", transB=1)
+    return make_doc(
+        inputs=[{"name": "input", "dims": [1, c, 5, 5]}],
+        initializers=inits,
+        nodes=nodes,
+        output="t16",
+    )
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGolden:
+    """Model bytes and report JSON, pinned at c2 = 128."""
+
+    DOCS = {
+        "rand7": lambda: refeval.random_interchange_doc(
+            np.random.default_rng(7), force_fusable=True
+        ),
+        "every_op": every_op_doc,
+    }
+    # (document, fused) -> (sha256 of serialize_model bytes, of report.to_json())
+    DIGESTS = {
+        ("rand7", False): (
+            "e57b279e82206366eebf661c8195da4469846060aafdd047174e691b413dca2a",
+            "f88e64c1eb8da490ea852e415d3723eb229057e2f9adf1719192b8dbc31564a1",
+        ),
+        ("rand7", True): (
+            "20a30b050f968caf2c1ca6137eaaa68b751f5f50c8a881a4dcd8895021cabbcc",
+            "dc5a9e2b5cfa3bb6dfc614c0a5843ebf99783a201f824f5be2f8bbe3974c0fa2",
+        ),
+        ("every_op", False): (
+            "b89dade39c6840473249f572e87f6eb4742c38932bdc43df1cfb74ed70e6564f",
+            "ac944d3068b08fa367a7a365eb8ddfe168dcb1adcc4f89fb887cf059bb11b48a",
+        ),
+        ("every_op", True): (
+            "4f0bfc4b8cfc73fba03b6bf21e4f3662ab07953d31a8118e0a8d31b0807fd16b",
+            "bbd0865dffaaf4fa4318ea6477e1fb8624d645329d476fb87fc1d7efff4defdd",
+        ),
+    }
+
+    @pytest.mark.parametrize("doc,fused", sorted(DIGESTS))
+    def test_bytes(self, doc, fused):
+        g = parse_interchange(self.DOCS[doc]())
+        model, report = convert_model(g, ConvertOptions(c2=128, fuse_bn_sign=fused))
+        digests = (sha256(serialize_model(model)), sha256(report.to_json().encode()))
+        assert digests == self.DIGESTS[doc, fused]
+
+    def test_warning_order(self):
+        g = parse_interchange(every_op_doc())
+        _, report = convert_model(g, ConvertOptions(fuse_bn_sign=True))
+        assert [w.split(":")[0] for w in report.warnings] == [
+            "conv 'padded'",
+            "conv 'biased'",
+            "conv 'shared_a'",
+            "conv 'shared_b'",
+            "bn 'bn0'",
+        ]
+
+
+class TestOpTable:
+    def test_every_row_has_a_runtime_op(self):
+        assert {row[0] for row in convert._OPS.values()} <= set(runtime._OPS)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("c2", [8, 128])
+    def test_every_op_document_matches_reference(self, c2, fused, rng):
+        text = every_op_doc()
+        assert {n["op"] for n in json.loads(text)["nodes"]} == set(convert._OPS)
+        g = parse_interchange(text)
+        x = refeval.random_input_for(g, rng)
+        model, _ = convert_model(g, ConvertOptions(c2=c2, fuse_bn_sign=fused))
+        kinds = {n.kind for n in model.graph.nodes}
+        assert OpKind.BINARY_CONV in kinds and (OpKind.THRESHOLD_SIGN in kinds) == fused
+        assert execute(model, x) == refeval.reference_eval(g, x)
+
+    @given(seed=st.integers(0, 2**32 - 1), fused=st.booleans())
+    @settings(derandomize=True, max_examples=60)
+    def test_every_initializer_is_read(self, seed, fused):
+        doc = json.loads(refeval.random_interchange_doc(np.random.default_rng(seed)))
+        doc["initializers"].append(init_entry("orphan", np.ones(2)))
+        g = parse_interchange(json.dumps(doc))
+        model, _ = convert_model(g, ConvertOptions(c2=8, fuse_bn_sign=fused))
+        read = {w for n in model.graph.nodes for w in n.weights}
+        assert set(model.graph.initializers) == read
+
+    def test_repeated_initializer_in_one_node(self, rng):
+        doc = json.loads(bn_sign_doc([1.0, -2.0], [0.5, 0.25], [0.0, 1.0], [1.0, 4.0]))
+        doc["nodes"][0]["inputs"][2] = "g"  # beta reads gamma's initializer
+        g = parse_interchange(json.dumps(doc))
+        x = refeval.random_input_for(g, rng)
+        for fused in (False, True):
+            model, _ = convert_model(g, ConvertOptions(fuse_bn_sign=fused))
+            assert execute(model, x) == refeval.reference_eval(g, x)
+
+    def test_weight_as_its_own_bias_rejected(self, rng):
+        doc = json.loads(conv_doc(rng.standard_normal((2, 2, 1, 1)), bias=[0.0, 0.0]))
+        doc["nodes"][-1]["inputs"][2] = "w"
+        with pytest.raises(ConversionError, match="bias length"):
+            convert_model(parse_interchange(json.dumps(doc)))
+
+    @pytest.mark.parametrize(
+        "op,inputs",
+        [
+            ("Conv", ["input", "input"]),
+            ("Gemm", ["input", "w", "input"]),
+            ("BatchNormalization", ["input", "w", "w", "input", "w"]),
+        ],
+    )
+    def test_parameter_must_be_initializer(self, op, inputs):
+        doc = make_doc(
+            inputs=[{"name": "input", "dims": [1, 1, 1, 1]}],
+            initializers=[init_entry("w", np.ones(1, np.float32))],
+            nodes=[{"op": op, "name": "n", "inputs": inputs, "outputs": ["y"]}],
+            output="y",
+        )
+        index = inputs.index("input", 1)
+        message = rf"inputs\[{index}\]: 'input' of node 'n' must be an initializer"
+        with pytest.raises(ConversionError, match=message):
+            parse_interchange(doc)
+
+
+def two_bn_sign_doc(second_name: str, second_gamma: str = "g2") -> str:
+    """x -> BN 'bn' -> Sign -> BN ``second_name`` -> Sign, one channel."""
+
+    def bn(name, src, out, tag, gamma):
+        return {
+            "op": "BatchNormalization",
+            "name": name,
+            "inputs": [src, gamma, f"b{tag}", f"m{tag}", f"v{tag}"],
+            "outputs": [out],
+        }
+
+    inits = [
+        init_entry(name, [value])
+        for name, value in (
+            ("g1", 1.0), ("b1", 0.0), ("m1", -1.0), ("v1", 1.0),
+            ("g2", 1.0), ("b2", 0.0), ("m2", 0.0), ("v2", 1.0),
+        )
+    ]
+    if second_gamma != "g2":
+        inits.append(init_entry(second_gamma, [1.0]))
+    return make_doc(
+        inputs=[{"name": "x", "dims": [1, 1, 1, 2]}],
+        initializers=inits,
+        nodes=[
+            bn("bn", "x", "y1", "1", "g1"),
+            {"op": "Sign", "name": "s1", "inputs": ["y1"], "outputs": ["z1"]},
+            bn(second_name, "z1", "y2", "2", second_gamma),
+            {"op": "Sign", "name": "s2", "inputs": ["y2"], "outputs": ["z2"]},
+        ],
+        output="z2",
+    )
+
+
+class TestFusionNames:
+    X = FloatTensor.from_array(np.array([-0.2, 3.0], np.float32).reshape(1, 1, 2, 1))
+
+    def test_duplicate_bn_names_rejected(self):
+        # fusing both under one table name would run the first pair with the
+        # second pair's thresholds
+        with pytest.raises(ConversionError, match=r"nodes\[2\]: duplicate node name 'bn'"):
+            parse_interchange(two_bn_sign_doc("bn"))
+
+    def test_duplicate_default_name_rejected(self):
+        doc = make_doc(
+            inputs=[{"name": "x", "dims": [1, 1, 1, 1]}],
+            nodes=[
+                {"op": "Relu", "name": "Relu_1", "inputs": ["x"], "outputs": ["a"]},
+                {"op": "Relu", "inputs": ["a"], "outputs": ["b"]},
+            ],
+            output="b",
+        )
+        with pytest.raises(ConversionError, match="duplicate node name 'Relu_1'"):
+            parse_interchange(doc)
+
+    def test_table_name_taken_by_initializer(self):
+        g = parse_interchange(two_bn_sign_doc("bn2", second_gamma="bn.thresh_key"))
+        fused, report = convert_model(g, ConvertOptions(fuse_bn_sign=True))
+        plain, _ = convert_model(g)
+        assert execute(fused, self.X) == execute(plain, self.X)
+        assert execute(plain, self.X).data.tolist() == [1.0, 1.0]
+        assert [n.kind for n in fused.graph.nodes] == [
+            OpKind.BATCH_NORM,
+            OpKind.SIGN,
+            OpKind.THRESHOLD_SIGN,
+        ]
+        assert report.warnings == [
+            "bn 'bn': initializer 'bn.thresh_key' already exists, fusion with 's1' skipped"
+        ]
+
+    def test_distinct_names_fuse_exactly(self):
+        g = parse_interchange(two_bn_sign_doc("bn2"))
+        fused, _ = convert_model(g, ConvertOptions(fuse_bn_sign=True))
+        plain, _ = convert_model(g)
+        assert [n.kind for n in fused.graph.nodes] == [OpKind.THRESHOLD_SIGN] * 2
+        assert execute(fused, self.X) == execute(plain, self.X)
+
+
+def hostile(path, value):
+    """The every-op document with the field at ``path`` set to ``value``."""
+    doc = json.loads(every_op_doc())
+    *parents, key = path
+    target = doc
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    return json.dumps(doc)
+
+
+NAME = "expected a non-empty string"
+DIMS = "dims must be non-negative integers"
+
+# (path to the field, hostile value, message)
+HOSTILE = {
+    "int_node_name": (("nodes", 0, "name"), 5, NAME),
+    "list_node_name": (("nodes", 0, "name"), [1], NAME),
+    "bool_node_name": (("nodes", 0, "name"), False, NAME),
+    "surrogate_node_name": (("nodes", 1, "name"), "\ud800", "not valid UTF-8"),
+    "surrogate_output": (("output",), "\udfff", "not valid UTF-8"),
+    "input_dim_2_32": (("inputs", 0, "dims", 2), 2**32, DIMS),
+    "initializer_dim_2_32": (("initializers", 0, "dims"), [2**32, 0], DIMS),
+    "bool_dim": (("inputs", 0, "dims", 1), True, DIMS),
+    "bool_stride": (("nodes", 2, "attributes", "strides"), [True, 1], "bad 'strides'"),
+    "stride_2_31": (("nodes", 13, "attributes", "strides"), [2**31, 1], "bad 'strides'"),
+    "bool_kernel": (("nodes", 12, "attributes", "kernel_shape"), [2, True], "bad 'kernel_shape'"),
+    "pads_2_31": (("nodes", 13, "attributes", "pads"), [2**31] * 4, "bad 'pads'"),
+    "string_epsilon": (("nodes", 0, "attributes", "epsilon"), "1e-5", "bad 'epsilon'"),
+    "bool_epsilon": (("nodes", 0, "attributes", "epsilon"), True, "bad 'epsilon'"),
+    "huge_int_epsilon": (("nodes", 0, "attributes", "epsilon"), 10**400, "bad 'epsilon'"),
+    "bool_group": (("nodes", 2, "attributes", "group"), True, "unsupported 'group'"),
+    "bool_dilations": (("nodes", 2, "attributes", "dilations"), [True, 1], "'dilations'"),
+    "bool_count_include_pad": (
+        ("nodes", 13, "attributes", "count_include_pad"),
+        False,
+        "unsupported 'count_include_pad'",
+    ),
+    "bool_trans_b": (("nodes", 16, "attributes", "transB"), True, "unsupported 'transB'"),
+    "bool_axis": (("nodes", 15, "attributes", "axis"), True, "unsupported 'axis'"),
+}
+
+
+class TestHostileFields:
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_conversion_error(self, case, fused):
+        path, value, message = HOSTILE[case]
+        with pytest.raises(ConversionError, match=message):
+            model, _ = convert_model(
+                parse_interchange(hostile(path, value)), ConvertOptions(fuse_bn_sign=fused)
+            )
+            serialize_model(model)
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE))
+    def test_cli_exits_1(self, case, tmp_path, capsys):
+        path, value, _ = HOSTILE[case]
+        doc = tmp_path / "g.json"
+        doc.write_text(hostile(path, value))
+        assert main(["convert", str(doc), str(tmp_path / "m.dabn"), "--fuse-bn-sign"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "m.dabn").exists()
+
+    @pytest.mark.parametrize("name", [None, ""])
+    def test_missing_name_gets_default(self, name):
+        g = parse_interchange(hostile(("nodes", 6, "name"), name))
+        assert g.nodes[6].name == "Relu_6"

@@ -20,7 +20,8 @@ from bnnkit.floatops import (
     sign_op,
 )
 from bnnkit.kernels import ConvParams
-from bnnkit.layout import FloatTensor, Layout, convert_layout
+from bnnkit.layout import FloatTensor, Layout
+from refeval import convert_layout
 
 
 def nhwc(values):

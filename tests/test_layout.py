@@ -9,12 +9,10 @@ from bnnkit.layout import (
     Layout,
     PackedTensor,
     check_group_bits,
-    convert_layout,
     group_count,
-    index_nc1hwc2,
     pack_to_nc1hwc2,
-    unpack_from_nc1hwc2,
 )
+from refeval import convert_layout, index_nc1hwc2, unpack_from_nc1hwc2
 
 
 class TestGroupBits:
