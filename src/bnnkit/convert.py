@@ -379,24 +379,25 @@ def _key_to_float(keys: np.ndarray) -> np.ndarray:
     return bits.astype(np.uint32).view(np.float32)
 
 
-def _threshold_tables(gamma, beta, mean, scale):
+def _threshold_tables(gamma, beta, mean, var, eps: float):
     """Per-channel (boundary key, invert flag) reproducing signbit(bn(x)).
 
     Every float32 step of the normalization is weakly monotone in x, so per
     channel the sign bit as a function of the float total-order key flips at
     most once.  The boundary is found by bisection over the uint32 key space
-    using the normalization arithmetic itself, which makes the fused
-    comparison exact for every non-NaN float32 input, infinities included.
+    using ``floatops.batchnorm`` itself, the arithmetic the unfused node
+    runs, which makes the fused comparison exact for every non-NaN float32
+    input, infinities included.
     Callers must rule out zero gamma first: there an overflowed intermediate
     turns into NaN and the sign is no longer a single threshold.
     """
     c = gamma.shape[0]
 
     def signbit_at(keys: np.ndarray) -> np.ndarray:
-        x = _key_to_float(keys)
+        x = FloatTensor.from_array(_key_to_float(keys).reshape(1, 1, 1, c))
         with np.errstate(over="ignore", invalid="ignore"):
-            y = ((x - mean) / scale) * gamma + beta
-        return np.ascontiguousarray(y, dtype=np.float32).view(np.uint32) >> np.uint32(31)
+            y = floatops.batchnorm(x, gamma, beta, mean, var, eps)
+        return y.data.view(np.uint32) >> np.uint32(31)
 
     lo_key = int(float_order_key([-np.inf])[0])
     hi_key = int(float_order_key([np.inf])[0])
@@ -457,7 +458,7 @@ def _fuse_bn_sign(
             f"bn '{bn.name}': degenerate parameters, fusion with '{sign.name}' skipped"
         )
         return None
-    keys, invert = _threshold_tables(gamma, beta, mean, scale)
+    keys, invert = _threshold_tables(gamma, beta, mean, var, eps)
     return {key_name: keys.view(np.float32), inv_name: invert.astype(np.float32)}
 
 

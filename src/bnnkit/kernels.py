@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import FloatTensor, Layout, PackedTensor, group_count
+from .layout import FloatTensor, Layout, PackedTensor, check_group_bits, group_count
 
 __all__ = [
     "BinMatrix",
@@ -58,8 +58,7 @@ class BinMatrix:
         rows, cols, vec_bits = int(self.rows), int(self.cols), int(self.vec_bits)
         if rows < 0 or cols < 0:
             raise ValueError("rows and cols must be non-negative")
-        if vec_bits < 8 or vec_bits % 8:
-            raise ValueError("vec_bits must be a positive multiple of 8")
+        check_group_bits(vec_bits)
         data = np.ascontiguousarray(self.data, dtype=np.uint8)
         if data.shape != (rows, cols, vec_bits // 8):
             raise ValueError("data shape does not match extents")
@@ -101,6 +100,11 @@ class ConvParams:
             raise ValueError("padding must be >= 0")
         if self.channels < 1:
             raise ValueError("channels must be >= 1")
+        # as in ONNX: a padding as large as the kernel gives windows over padding only
+        if any(pad >= k for pad, k in zip(self.padding, self.kernel)):
+            raise ValueError(
+                f"padding {self.padding} must be smaller than kernel {self.kernel}"
+            )
 
     def out_extent(self, h: int, w: int) -> tuple[int, int]:
         """Output spatial extents for an (h, w) input; both must be >= 1."""

@@ -19,6 +19,7 @@ are not UTF-8, repeated initializer names and nonzero channel pad bits.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import BinMatrix
-from .layout import group_count
+from .layout import check_group_bits, group_count
 from .runtime import (
     Graph,
     GraphError,
@@ -72,7 +73,14 @@ _OP_TO_CODE = {
 }
 _CODE_TO_OP = {v: k for k, v in _OP_TO_CODE.items()}
 
-_ATTR_KERNEL, _ATTR_STRIDE, _ATTR_PADDING, _ATTR_EPSILON = 0, 1, 2, 3
+# Attribute record key -> (NodeAttrs field, payload format).  Keys are part
+# of the format; never renumber.
+_ATTRS = {
+    0: ("kernel", "<2i"),
+    1: ("stride", "<2i"),
+    2: ("padding", "<2i"),
+    3: ("epsilon", "<f"),
+}
 _KIND_FLOAT, _KIND_PACKED = 0, 1
 
 
@@ -80,47 +88,20 @@ class ModelFormatError(ValueError):
     """Raised when model bytes cannot be parsed or fail their checksum."""
 
 
-class _StringTable:
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self.strings: list[str] = []
-
-    def idx(self, s: str) -> int:
-        i = self._index.get(s)
-        if i is None:
-            i = len(self.strings)
-            self._index[s] = i
-            self.strings.append(s)
-        return i
-
-
 def _pack_attrs(attrs: NodeAttrs) -> bytes:
     records = []
-    for key, pair in (
-        (_ATTR_KERNEL, attrs.kernel),
-        (_ATTR_STRIDE, attrs.stride),
-        (_ATTR_PADDING, attrs.padding),
-    ):
-        if pair is not None:
-            records.append(struct.pack("<B2i", key, pair[0], pair[1]))
-    if attrs.epsilon is not None:
-        records.append(struct.pack("<Bf", _ATTR_EPSILON, attrs.epsilon))
+    for key, (field, fmt) in _ATTRS.items():
+        value = getattr(attrs, field)
+        if value is not None:
+            values = value if isinstance(value, tuple) else (value,)
+            records.append(struct.pack("<B", key) + struct.pack(fmt, *values))
     return struct.pack("<B", len(records)) + b"".join(records)
 
 
 def _initializer_order(graph: Graph) -> list[str]:
-    order: list[str] = []
-    seen: set[str] = set()
-    for node in graph.nodes:
-        for name in node.weights:
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-    for name in sorted(graph.initializers):
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-    return order
+    """Initializers in first-read order, then the unread ones by name."""
+    read = dict.fromkeys(name for node in graph.nodes for name in node.weights)
+    return [*read, *sorted(graph.initializers.keys() - read)]
 
 
 def _pack_initializer(name_idx: int, init: Initializer) -> bytes:
@@ -137,30 +118,32 @@ def _pack_initializer(name_idx: int, init: Initializer) -> bytes:
 
 def serialize_model(model: PackedModel) -> bytes:
     graph = model.graph
-    table = _StringTable()
-    body = bytearray()
-    body += struct.pack("<I", len(graph.nodes))
+    table: dict[str, int] = {}  # string -> index, in first-use order
+
+    def idx(s: str) -> int:
+        return table.setdefault(s, len(table))
+
+    body = bytearray(struct.pack("<I", len(graph.nodes)))
     for node in graph.nodes:
-        body += struct.pack("<BI", _OP_TO_CODE[node.kind], table.idx(node.name))
+        body += struct.pack("<BI", _OP_TO_CODE[node.kind], idx(node.name))
         body += struct.pack("<I", len(node.inputs))
         for s in node.inputs:
-            body += struct.pack("<I", table.idx(s))
-        body += struct.pack("<I", table.idx(node.output))
+            body += struct.pack("<I", idx(s))
+        body += struct.pack("<I", idx(node.output))
         body += struct.pack("<I", len(node.weights))
         for s in node.weights:
-            body += struct.pack("<I", table.idx(s))
+            body += struct.pack("<I", idx(s))
         body += _pack_attrs(node.attrs)
     body += struct.pack("<I", len(graph.inputs))
     for gi in graph.inputs:
-        body += struct.pack("<I4I", table.idx(gi.name), *gi.dims)
-    body += struct.pack("<I", table.idx(graph.output))
-    weights = bytearray()
+        body += struct.pack("<I4I", idx(gi.name), *gi.dims)
+    body += struct.pack("<I", idx(graph.output))
     order = _initializer_order(graph)
-    weights += struct.pack("<I", len(order))
+    weights = bytearray(struct.pack("<I", len(order)))
     for name in order:
-        weights += _pack_initializer(table.idx(name), graph.initializers[name])
-    body += struct.pack("<I", len(table.strings))
-    for s in table.strings:
+        weights += _pack_initializer(idx(name), graph.initializers[name])
+    body += struct.pack("<I", len(table))
+    for s in table:
         raw = s.encode("utf-8")
         body += struct.pack("<I", len(raw)) + raw
     payload = _HEADER.pack(MAGIC, FORMAT_VERSION, len(body), len(weights))
@@ -200,14 +183,11 @@ def _read_attrs(r: _Reader) -> NodeAttrs:
     fields: dict = {}
     for _ in range(r.u8()):
         key = r.u8()
-        if key == _ATTR_EPSILON:
-            fields["epsilon"] = float(r.unpack("<f")[0])
-        elif key in (_ATTR_KERNEL, _ATTR_STRIDE, _ATTR_PADDING):
-            pair = tuple(r.unpack("<2i"))
-            name = {_ATTR_KERNEL: "kernel", _ATTR_STRIDE: "stride", _ATTR_PADDING: "padding"}
-            fields[name[key]] = pair
-        else:
+        if key not in _ATTRS:
             raise ModelFormatError(f"unknown attribute key {key}")
+        field, fmt = _ATTRS[key]
+        values = r.unpack(fmt)
+        fields[field] = values if len(values) > 1 else values[0]
     return NodeAttrs(**fields)
 
 
@@ -217,19 +197,17 @@ def _read_initializer(r: _Reader) -> tuple[int, Initializer]:
     rank = r.u8()
     extents = tuple(r.unpack(f"<{rank}I")) if rank else ()
     if kind == _KIND_FLOAT:
-        count = 1
-        for e in extents:
-            count *= e
-        raw = r.take(count * 4)
-        arr = np.frombuffer(raw, dtype="<f4").reshape(extents)
-        return name_idx, arr
+        raw = r.take(math.prod(extents) * 4)
+        return name_idx, np.frombuffer(raw, dtype="<f4").reshape(extents)
     if kind == _KIND_PACKED:
         if rank != 4:
             raise ModelFormatError("packed initializer must have 4 extents")
         m, c, kh, kw = extents
         c2 = r.u32()
-        if c2 < 8 or c2 % 8:
-            raise ModelFormatError("invalid group width")
+        try:
+            check_group_bits(c2)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from exc
         k = kh * kw * group_count(c, c2)
         raw = r.take(m * k * (c2 // 8))
         data = np.frombuffer(raw, dtype=np.uint8).reshape(m, k, c2 // 8)
@@ -271,11 +249,7 @@ def deserialize_model(data: bytes) -> PackedModel:
         weight_idxs = [g.u32() for _ in range(g.u32())]
         attrs = _read_attrs(g)
         raw_nodes.append((op, name_idx, input_idxs, output_idx, weight_idxs, attrs))
-    raw_inputs = []
-    for _ in range(g.u32()):
-        name_idx = g.u32()
-        dims = tuple(g.unpack("<4I"))
-        raw_inputs.append((name_idx, dims))
+    raw_inputs = [(g.u32(), g.unpack("<4I")) for _ in range(g.u32())]
     output_idx = g.u32()
     strings = []
     for _ in range(g.u32()):

@@ -31,13 +31,13 @@ __all__ = ["build_birealnet18"]
 
 _STAGE_CHANNELS = (64, 128, 256, 512)
 _BLOCKS_PER_STAGE = 2
+_C2 = 128  # channel-group width of the packed binary filters
 
 
 def build_birealnet18(
     rng: np.random.Generator | None = None,
     num_classes: int = 1000,
     input_hw: int = 224,
-    c2: int = 128,
 ) -> PackedModel:
     """Build the 18-layer residual binary network with random weights.
 
@@ -69,7 +69,7 @@ def build_birealnet18(
 
     def binary_conv(name, x, cin, cout, stride, out):
         w = rng.choice(np.array([-1.0, 1.0], np.float32), size=(cout, cin, 3, 3))
-        inits[f"{name}.w"] = pack_conv_weight(w, c2)
+        inits[f"{name}.w"] = pack_conv_weight(w, _C2)
         attrs = NodeAttrs(kernel=(3, 3), stride=(stride, stride), padding=(1, 1))
         nodes.append(Node(OpKind.BINARY_CONV, name, (x,), out, attrs, (f"{name}.w",)))
         return out

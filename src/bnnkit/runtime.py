@@ -147,9 +147,9 @@ class Graph:
     def _validate(self) -> None:
         """Build every node through ``_OPS`` into the plan ``execute`` walks:
         per node, its run function and the activations it reads last."""
+        if len(self.inputs) != 1:
+            raise GraphError("model must declare exactly one input")
         dims = {gi.name: gi.dims for gi in self.inputs}
-        if len(dims) != len(self.inputs):
-            raise GraphError("duplicate graph input names")
         last_reader: dict[str, int] = {}
         runs = []
         for i, node in enumerate(self.nodes):
@@ -178,7 +178,9 @@ class Graph:
         if self.output not in dims:
             raise GraphError(f"graph output '{self.output}' is not produced")
         last_reader.pop(self.output, None)
-        dead = [[n for n, j in last_reader.items() if j == i] for i in range(len(runs))]
+        dead: list[list[str]] = [[] for _ in runs]
+        for name, i in last_reader.items():
+            dead[i].append(name)
         object.__setattr__(self, "_plan", tuple(zip(self.nodes, runs, dead)))
 
     def __reduce__(self):
@@ -198,8 +200,9 @@ def float_order_key(a) -> np.ndarray:
     of their sign.
     """
     bits = np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
-    neg = bits >> np.uint32(31)
-    return np.where(neg, np.uint32(0xFFFFFFFF) - bits, bits + np.uint32(0x80000000))
+    # all ones for a set sign bit (flip every bit), else just the sign bit
+    mask = (bits.view(np.int32) >> 31).view(np.uint32) | np.uint32(0x80000000)
+    return bits ^ mask
 
 
 def execute(model: PackedModel, input: FloatTensor) -> FloatTensor:
@@ -211,8 +214,6 @@ def execute(model: PackedModel, input: FloatTensor) -> FloatTensor:
     its last reader has run.
     """
     graph = model.graph
-    if len(graph.inputs) != 1:
-        raise GraphError("model must declare exactly one input")
     gi = graph.inputs[0]
     if tuple(input.dims) != gi.dims:
         raise GraphError(f"input dims {input.dims} do not match declared {gi.dims}")
@@ -249,9 +250,6 @@ def _window(node: Node, kernel, x) -> tuple[ConvParams, tuple[int, int]]:
     if attrs.kernel not in (None, tuple(kernel)):
         raise ValueError("kernel attribute does not match weight extents")
     p = ConvParams(kernel, x[1], attrs.stride or (1, 1), attrs.padding or (0, 0))
-    # as in ONNX: a padding as large as the kernel gives windows over padding only
-    if any(pad >= k for pad, k in zip(p.padding, p.kernel)):
-        raise ValueError(f"padding {p.padding} must be smaller than kernel {p.kernel}")
     # with the kernel above the padding, this keeps each output extent at
     # most twice the input's
     if any(pad > extent for pad, extent in zip(p.padding, x[2:])):
@@ -303,8 +301,10 @@ def _threshold_sign(node, weights, x):
     bound, flip = keys.view(np.uint32), invert != 0
 
     def run(t: FloatTensor) -> FloatTensor:
-        bit = (float_order_key(t.nhwc_array()) < bound) ^ flip
-        return FloatTensor.from_array(np.where(bit, np.float32(-1.0), np.float32(1.0)))
+        negative = (float_order_key(t.nhwc_array()) < bound) ^ flip
+        # the sign bit ORed into 1.0 gives ±1
+        bits = (negative.astype(np.uint32) << np.uint32(31)) | np.uint32(0x3F800000)
+        return FloatTensor.from_array(bits.view(np.float32))
 
     return x, run
 

@@ -174,6 +174,16 @@ SPECIAL_F32 = np.array(
 ).view(np.float32)
 
 
+def threshold_sign(x: np.ndarray, keys: np.ndarray, invert: np.ndarray) -> np.ndarray:
+    """ThresholdSign by selects: -1 where the order key of x lies below the
+    channel's key (last axis), the comparison flipped where invert is set."""
+    bits = np.ascontiguousarray(x, dtype=np.float32).view(np.uint32)
+    neg = bits >> np.uint32(31)
+    key = np.where(neg, np.uint32(0xFFFFFFFF) - bits, bits + np.uint32(0x80000000))
+    below = (key < np.asarray(keys, np.float32).view(np.uint32)) ^ (np.asarray(invert) != 0)
+    return np.where(below, np.float32(-1.0), np.float32(1.0))
+
+
 def special_mix(rng: np.random.Generator, shape, share: float) -> np.ndarray:
     """Standard normal float32 with about ``share`` of entries from SPECIAL_F32."""
     x = rng.standard_normal(shape).astype(np.float32)

@@ -127,6 +127,16 @@ class TestConvertCommand:
         assert main(["convert", str(doc), str(tmp_path / "m.dabn")]) == 1
         assert "unknown op 'Foo'" in capsys.readouterr().err
 
+    def test_two_input_document_exit_1(self, tmp_path, capsys):
+        doc = tmp_path / "g.json"
+        text = json.loads(tiny_doc())
+        text["inputs"].append({"name": "extra", "dims": [1, 3, 4, 4]})
+        doc.write_text(json.dumps(text))
+        model = tmp_path / "m.dabn"
+        assert main(["convert", str(doc), str(model)]) == 1
+        assert "exactly one input" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["convert", str(tmp_path / "no.json"), str(tmp_path / "m")]) == 2
 

@@ -378,6 +378,15 @@ class TestWholeGraph:
         model, _ = convert_model(g, ConvertOptions(c2=int(gen.choice([8, 16, 32]))))
         assert execute(model, x) == refeval.reference_eval(g, x)
 
+    def test_two_inputs_rejected(self):
+        doc = make_doc(
+            inputs=[{"name": "a", "dims": [1, 1, 2, 2]}, {"name": "b", "dims": [1, 1, 2, 2]}],
+            nodes=[{"op": "Add", "name": "add", "inputs": ["a", "b"], "outputs": ["y"]}],
+            output="y",
+        )
+        with pytest.raises(ConversionError, match="exactly one input"):
+            convert_model(parse_interchange(doc))
+
     def test_conversion_is_deterministic(self, rng):
         text = refeval.random_interchange_doc(np.random.default_rng(5))
         a, _ = convert_model(parse_interchange(text))

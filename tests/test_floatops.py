@@ -244,6 +244,30 @@ class TestPools:
         assert np.array_equal(out.nhwc_array(), want)
 
 
+class TestWindowValidity:
+    """A padding as large as the window gives windows over padding only."""
+
+    X = nhwc(np.ones((1, 2, 2, 1), np.float32))
+    W = FloatTensor.from_array(np.ones((1, 1, 1, 1), np.float32), Layout.NCHW)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, w: maxpool(x, (1, 1), (1, 1), (1, 1)),
+            lambda x, w: avgpool(x, (2, 2), (1, 1), (0, 2)),
+            lambda x, w: conv2d_f32(x, w, None, ConvParams((1, 1), 1, padding=(1, 0))),
+            lambda x, w: oracle_binary_conv(x, w, ConvParams((1, 1), 1, padding=(0, 1))),
+        ],
+        ids=["maxpool", "avgpool", "conv2d_f32", "oracle_binary_conv"],
+    )
+    def test_padding_not_below_window_rejected(self, op):
+        with pytest.raises(ValueError, match="must be smaller than kernel"):
+            op(self.X, self.W)
+
+    def test_largest_valid_padding_accepted(self):
+        assert avgpool(self.X, (2, 2), (1, 1), (1, 1)).dims == (1, 1, 3, 3)
+
+
 class TestElementwise:
     def test_relu(self):
         x = nhwc(np.array([[[[-2.0, 0.0, 3.0, -0.0]]]], np.float32))

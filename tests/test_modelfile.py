@@ -281,6 +281,27 @@ class TestHostileFiles:
         with pytest.raises(ModelFormatError, match="duplicate initializer 'a'"):
             deserialize_model(reseal(raw))
 
+    def test_two_inputs(self, tmp_path, capsys):
+        graph = object.__new__(Graph)  # skips the checks, as a hostile writer would
+        fields = {
+            "nodes": (Node(OpKind.ADD, "add", ("a", "b"), "out"),),
+            "inputs": (GraphInput("a", (1, 1, 2, 2)), GraphInput("b", (1, 1, 2, 2))),
+            "initializers": {},
+            "output": "out",
+        }
+        for name, value in fields.items():
+            object.__setattr__(graph, name, value)
+        raw = serialize_model(PackedModel(graph))
+        with pytest.raises(ModelFormatError, match="exactly one input"):
+            deserialize_model(raw)
+        model, x = tmp_path / "m.dabn", tmp_path / "x.bin"
+        model.write_bytes(raw)
+        write_tensor(x, FloatTensor.from_array(np.zeros((1, 2, 2, 1), np.float32)))
+        assert main(["run", str(model), str(x)]) == 1
+        captured = capsys.readouterr()
+        assert "bad model file" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_zero_input_extent(self, tmp_path, capsys):
         raw = bytearray(serialize_model(tiny_model()))
         dims = raw.index(struct.pack("<4I", 1, 1, 2, 2))

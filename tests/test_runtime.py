@@ -1,9 +1,12 @@
 import pickle
 import tracemalloc
 
+import time
+
 import numpy as np
 import pytest
 
+import refeval
 from bnnkit import floatops, runtime
 from bnnkit.cli import main
 from bnnkit.convert import pack_conv_weight
@@ -180,6 +183,33 @@ class TestThresholdSign:
         x = input_tensor(np.array([[[[-3.0], [3.0]]]], np.float32))
         assert execute(PackedModel(graph), x).data.tolist() == [1.0, -1.0]
 
+    def test_bytes_on_special_values(self, rng):
+        """Every value against every boundary, both flags, equals the select form."""
+        nans = np.array(
+            [0x7FC00000, 0x7F800001, 0x7FFFFFFF, 0x7FC0BEEF, 0xFFC00001, 0xFF800001,
+             0xFFFFFFFF, 0xFFC0BEEF],
+            dtype=np.uint32,
+        ).view(np.float32)
+        values = np.concatenate(
+            [refeval.SPECIAL_F32, nans, rng.standard_normal(8).astype(np.float32)]
+        )
+        bounds = np.concatenate(
+            [float_order_key(values), np.array([0, 1, 0x7FFFFFFF, 0xFFFFFFFF], np.uint32)]
+        )
+        keys = np.tile(bounds, 2).view(np.float32)
+        invert = np.repeat(np.float32([0, 1]), bounds.size)
+        c = keys.size
+        graph = Graph(
+            nodes=(Node(OpKind.THRESHOLD_SIGN, "ts", ("input",), "out", weights=("k", "i")),),
+            inputs=(GraphInput("input", (1, c, 1, values.size)),),
+            initializers={"k": keys, "i": invert},
+            output="out",
+        )
+        x = np.broadcast_to(values[None, None, :, None], (1, 1, values.size, c))
+        got = execute(PackedModel(graph), input_tensor(x)).nhwc_array()
+        want = refeval.threshold_sign(x, keys, invert)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestValidation:
     def test_unresolved_input(self):
@@ -231,14 +261,23 @@ class TestValidation:
             )
 
     def test_single_graph_input_required(self):
-        graph = Graph(
-            nodes=(Node(OpKind.RELU, "r", ("a",), "out"),),
-            inputs=(GraphInput("a", (1, 1, 1, 1)), GraphInput("b", (1, 1, 1, 1))),
-            initializers={},
-            output="out",
-        )
         with pytest.raises(GraphError, match="exactly one input"):
-            execute(PackedModel(graph), input_tensor(np.zeros((1, 1, 1, 1))))
+            Graph(
+                nodes=(Node(OpKind.RELU, "r", ("a",), "out"),),
+                inputs=(GraphInput("a", (1, 1, 1, 1)), GraphInput("b", (1, 1, 1, 1))),
+                initializers={},
+                output="out",
+            )
+
+    def test_long_chain_builds_and_loads_quickly(self):
+        """Liveness planning is linear: a 40,000-node chain builds and loads in seconds."""
+        n = 40_000
+        start = time.perf_counter()
+        nodes = [Node(OpKind.RELU, f"r{i}", (f"t{i}",), f"t{i + 1}") for i in range(n)]
+        graph = Graph(nodes, (GraphInput("t0", (1, 1, 1, 1)),), {}, f"t{n}")
+        loaded = deserialize_model(serialize_model(PackedModel(graph)))
+        assert time.perf_counter() - start < 5.0
+        assert [len(dead) for _, _, dead in loaded.graph._plan] == [1] * n
 
     def test_packed_weight_extent_check(self):
         matrix = pack_conv_weight(np.ones((2, 8, 1, 1), np.float32), 8).matrix
