@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernels import ConvParams
-from .layout import FloatTensor, Layout
+from .layout import FloatTensor, Layout, signed_ones
 
 __all__ = [
     "conv2d_f32",
@@ -40,12 +40,6 @@ def _oihw(weights: FloatTensor) -> np.ndarray:
     return np.ascontiguousarray(
         a if weights.layout is Layout.NCHW else np.transpose(a, (0, 3, 1, 2))
     )
-
-
-def _sign_values(a: np.ndarray) -> np.ndarray:
-    """±1 float32 by the raw sign bit: -0.0 and signed NaN map to -1."""
-    bits = np.ascontiguousarray(a, dtype=np.float32).view(np.uint32) >> np.uint32(31)
-    return np.where(bits, np.float32(-1.0), np.float32(1.0))
 
 
 # Output positions per conv accumulator tile: numpy's broadcast multiply is
@@ -148,8 +142,8 @@ def oracle_binary_conv(
     float32 with spatial padding contributing +1.0, mirroring the packed
     path where pad bits read as +1.
     """
-    x = _sign_values(_nhwc(input))
-    w = _sign_values(_oihw(weights))
+    x = signed_ones(_nhwc(input).view(np.uint32))
+    w = signed_ones(_oihw(weights).view(np.uint32))
     p = _conv_params(p, w.shape[2], w.shape[3], w.shape[1])
     out = _ordered_conv(x, w, None, p, 1.0)
     return FloatTensor.from_array(out, Layout.NHWC)
@@ -157,7 +151,7 @@ def oracle_binary_conv(
 
 def sign_op(input: FloatTensor) -> FloatTensor:
     """Elementwise binarization to ±1 by the raw sign bit (-0.0 -> -1)."""
-    return FloatTensor.from_array(_sign_values(_nhwc(input)), Layout.NHWC)
+    return FloatTensor.from_array(signed_ones(_nhwc(input).view(np.uint32)), Layout.NHWC)
 
 
 def bn_scale(var, eps: float) -> np.ndarray:

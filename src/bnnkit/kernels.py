@@ -1,18 +1,17 @@
-"""Binary convolution arithmetic: bit-matrix multiplication, packed im2col,
-and the word-plane direct convolution.
-
-All binary dot products are computed as "match counts": the number of bit
-positions on which two packed vectors agree (popcount of their xnor).
-``match_to_dot`` turns a match count into the signed ±1 dot product,
-correcting for channel pad bits, which are 0 in both operands and therefore
-always counted as matches.
+"""Binary convolution arithmetic: the word-plane direct convolution, and
+bit-matrix multiplication and packed im2col as benchmark baselines.
 
 The direct convolution, which inference runs, xors 64-bit (or narrower)
 words of all filters against one contiguous plane of input words per step
-and adds the popcounts into 16-bit accumulators, one per output, so a dot
-product may span at most 8 * ``MAX_GROUPS_PER_DOT`` = 65528 bits.  Words
-that hold only channel pad bits are skipped.  ``bgemm``, ``bgemm_no_addv``
-and ``im2col_packed`` remain as benchmark baselines.
+and adds the popcounts into 16-bit mismatch accumulators, one per output,
+so a dot product may span at most 8 * ``MAX_GROUPS_PER_DOT`` = 65528 bits.
+Words that hold only channel pad bits are skipped, and pad bits are 0 in
+both operands, so pads never reach a count: over the kh*kw*c real bits,
+dot = kh*kw*c - 2 * mismatches.
+
+``bgemm`` (with its timing variant ``bgemm_no_addv``) over ``im2col_packed``
+columns is the baseline: it counts matches, the popcount of the xnor of
+whole groups, pad bits included, and ``match_to_dot`` removes them.
 """
 
 from __future__ import annotations
@@ -111,6 +110,8 @@ class ConvParams:
         kh, kw = self.kernel
         sh, sw = self.stride
         ph, pw = self.padding
+        if ph > h or pw > w:  # with the padding below the kernel: output <= 2 * input
+            raise ValueError(f"padding {self.padding} exceeds input extents {(h, w)}")
         outh, outw = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
         if outh < 1 or outw < 1:
             raise ValueError("kernel larger than padded input")
@@ -186,7 +187,7 @@ def im2col_packed(input: PackedTensor, p: ConvParams) -> BinMatrix:
 
 
 def match_to_dot(match, p: ConvParams, c2: int):
-    """Convert xnor match counts into signed ±1 dot products.
+    """Convert ``bgemm`` match counts into signed ±1 dot products.
 
     Each dot product spans kh*kw vectors of c1*c2 bits, of which only c per
     vector are real channels.  Pad bits are 0 in both operands, so each of
@@ -201,25 +202,21 @@ def match_to_dot(match, p: ConvParams, c2: int):
     return 2 * (match - pad_positions) - valid
 
 
-def binary_direct_conv_counts(
+def binary_direct_conv(
     input: PackedTensor, weights: BinMatrix, p: ConvParams
-) -> np.ndarray:
-    """Raw per-position match counts of a direct convolution.
+) -> FloatTensor:
+    """Direct binary convolution; output holds signed dot products, NHWC, c = M.
 
-    Returns (n, M, out_h * out_w) int32.  Each c2-bit group is read as
-    words of the widest unsigned type dividing it.  The image is gathered
-    once into word planes, one contiguous row of out_h * out_w words per
-    (kernel tap, channel group, word), in the weight row order; each step
-    xors one weight word of all M filters against one plane and adds the
-    popcounts into a (M, out_h * out_w) uint16 accumulator, which is
-    widened once per image.  A dot product may span at most
-    ``MAX_GROUPS_PER_DOT`` bytes, else ``OverflowError``.
-
-    Words whose first channel is >= c hold only pad bits.  Pad bits must be
-    0 in both operands (``PackedWeight`` checks this for weights and
-    ``pack_to_nc1hwc2`` writes zeros), so such a word never mismatches and
-    is skipped; matches = kh*kw*c1*c2 - mismatches counts its bits as
-    matches.
+    Each c2-bit group is read as words of the widest unsigned type dividing
+    it.  The image is gathered once into word planes, one contiguous row of
+    out_h * out_w words per (kernel tap, channel group, word) that holds a
+    real channel; each step xors one weight word of all M filters against
+    one plane and adds the popcounts into a (M, out_h * out_w) uint16
+    mismatch accumulator, read once, transposed, into the output as
+    kh*kw*c - 2 * mismatches.  A dot product may span at most
+    ``MAX_GROUPS_PER_DOT`` bytes, else ``OverflowError``.  Skipped words
+    hold only pad bits, which are 0 in both operands (``PackedWeight``
+    checks weights, ``pack_to_nc1hwc2`` writes zeros), so never mismatch.
     """
     outh, outw = _conv_geometry(input, p)
     if weights.vec_bits != input.c2:
@@ -235,39 +232,41 @@ def binary_direct_conv_counts(
     word = np.dtype(f"u{math.gcd(c2 // 8, 8)}")  # widest unsigned word dividing a group
     word_bits = 8 * word.itemsize
     slots = c1 * c2 // word_bits  # (group, word) slots per tap
-    # slots that hold at least one real channel, and their weight rows
-    live = np.flatnonzero(np.arange(slots) * word_bits < p.channels)
-    rows = (np.arange(kh * kw)[:, None] * slots + live).reshape(-1)
+    live = group_count(p.channels, word_bits)  # the leading slots, with a real channel
     n, _, h, w = input.dims
     m, npos = weights.rows, outh * outw
-    wwords = weights.data.view(word).reshape(m, kh * kw * slots)
+    wcols = weights.data.view(word).reshape(m, kh * kw, slots)[:, :, :live].reshape(m, -1).T
     mismatch = np.empty((m, npos), dtype=word)
     bits = np.empty((m, npos), dtype=np.uint8)
-    out = np.empty((n, m, npos), dtype=np.int32)
+    out = np.empty((n, npos, m), dtype=np.float32)
     for img in range(n):
-        image = np.zeros((live.size, h + 2 * ph, w + 2 * pw), dtype=word)
+        image = np.zeros((live, h + 2 * ph, w + 2 * pw), dtype=word)
         words = input.data[img].view(word).transpose(0, 3, 1, 2)
-        image[:, ph : ph + h, pw : pw + w] = words.reshape(-1, h, w)[live]
-        planes = np.empty((kh, kw, live.size, outh, outw), dtype=word)
+        image[:, ph : ph + h, pw : pw + w] = words.reshape(-1, h, w)[:live]
+        planes = np.empty((kh, kw, live, outh, outw), dtype=word)
         for ky in range(kh):
             for kx in range(kw):
                 planes[ky, kx] = image[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
-        planes = planes.reshape(-1, npos)
         acc = np.zeros((m, npos), dtype=np.uint16)
-        for plane, r in zip(planes, rows):
-            np.bitwise_xor(wwords[:, r, None], plane, out=mismatch)
+        for plane, wcol in zip(planes.reshape(-1, npos), wcols):
+            np.bitwise_xor(wcol[:, None], plane, out=mismatch)
             np.bitwise_count(mismatch, out=bits)
             acc += bits
-        np.subtract(kh * kw * c1 * c2, acc, out=out[img], dtype=np.int32)
-    return out
+        np.multiply(acc.T, np.float32(-2), out=out[img])
+        out[img] += np.float32(kh * kw * p.channels)  # a dot of 0 is +0.0
+    return FloatTensor.from_array(out.reshape(n, outh, outw, m), Layout.NHWC)
 
 
-def binary_direct_conv(
+def binary_direct_conv_counts(
     input: PackedTensor, weights: BinMatrix, p: ConvParams
-) -> FloatTensor:
-    """Direct binary convolution; output holds signed dot products, NHWC, c = M."""
-    counts = binary_direct_conv_counts(input, weights, p)
-    dots = match_to_dot(counts, p, input.c2)
-    outh, outw = p.out_extent(input.dims[2], input.dims[3])
-    nhwc = dots.transpose(0, 2, 1).reshape(input.dims[0], outh, outw, weights.rows)
-    return FloatTensor.from_array(nhwc.astype(np.float32), Layout.NHWC)
+) -> np.ndarray:
+    """Per-position match counts of the direct convolution, pad bits counted
+    as matches (as ``bgemm`` counts them): (n, M, out_h * out_w) int32.
+
+    The inverse of dot = 2 * (matches - kh*kw*(c1*c2 - c)) - kh*kw*c.
+    """
+    dots = binary_direct_conv(input, weights, p).array4d()
+    n, outh, outw, m = dots.shape
+    offset = math.prod(p.kernel) * (2 * input.c1 * input.c2 - p.channels)
+    matches = (dots.reshape(n, outh * outw, m).astype(np.int32) + offset) // 2
+    return np.ascontiguousarray(matches.transpose(0, 2, 1))

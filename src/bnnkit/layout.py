@@ -27,6 +27,7 @@ __all__ = [
     "check_pad_bits",
     "group_count",
     "pack_to_nc1hwc2",
+    "signed_ones",
 ]
 
 
@@ -178,3 +179,8 @@ def pack_to_nc1hwc2(t: FloatTensor, c2: int = 128) -> PackedTensor:
         sign = np.concatenate([sign, pad], axis=-1)
     grouped = sign.reshape(n, h, w, c1, c2).transpose(0, 3, 1, 2, 4)
     return PackedTensor(t.dims, c2, np.packbits(grouped, axis=-1, bitorder="little"))
+
+
+def signed_ones(words: np.ndarray) -> np.ndarray:
+    """±1 float32: bit 31 of each uint32 word, the bit the packer packs, ORed into 1.0."""
+    return ((words & np.uint32(0x80000000)) | np.uint32(0x3F800000)).view(np.float32)

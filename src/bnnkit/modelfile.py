@@ -14,7 +14,8 @@ width for packed weights, then the raw payload.
 
 Serialization is canonical: saving, loading and saving again reproduces
 the file byte for byte.  Loading raises ``ModelFormatError`` for names that
-are not UTF-8, repeated initializer names and nonzero channel pad bits.
+are not UTF-8, repeated initializer names, attribute records out of key
+order and nonzero channel pad bits.
 """
 
 from __future__ import annotations
@@ -181,10 +182,14 @@ class _Reader:
 
 def _read_attrs(r: _Reader) -> NodeAttrs:
     fields: dict = {}
+    last = -1
     for _ in range(r.u8()):
         key = r.u8()
         if key not in _ATTRS:
             raise ModelFormatError(f"unknown attribute key {key}")
+        if key <= last:  # ``_pack_attrs`` writes each key once, in increasing order
+            raise ModelFormatError(f"attribute key {key} out of order or repeated")
+        last = key
         field, fmt = _ATTRS[key]
         values = r.unpack(fmt)
         fields[field] = values if len(values) > 1 else values[0]

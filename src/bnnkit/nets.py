@@ -32,11 +32,11 @@ __all__ = ["build_birealnet18"]
 _STAGE_CHANNELS = (64, 128, 256, 512)
 _BLOCKS_PER_STAGE = 2
 _C2 = 128  # channel-group width of the packed binary filters
+_NUM_CLASSES = 1000  # ImageNet's classes
 
 
 def build_birealnet18(
     rng: np.random.Generator | None = None,
-    num_classes: int = 1000,
     input_hw: int = 224,
 ) -> PackedModel:
     """Build the 18-layer residual binary network with random weights.
@@ -116,10 +116,10 @@ def build_birealnet18(
     nodes.append(Node(OpKind.GLOBAL_AVG_POOL, "gap", (x,), "gap.out"))
     nodes.append(Node(OpKind.FLATTEN, "flat", ("gap.out",), "flat.out"))
     inits["fc.w"] = (
-        rng.standard_normal((num_classes, _STAGE_CHANNELS[-1]))
+        rng.standard_normal((_NUM_CLASSES, _STAGE_CHANNELS[-1]))
         / np.sqrt(_STAGE_CHANNELS[-1])
     ).astype(np.float32)
-    inits["fc.b"] = np.zeros(num_classes, np.float32)
+    inits["fc.b"] = np.zeros(_NUM_CLASSES, np.float32)
     nodes.append(
         Node(OpKind.FULLY_CONNECTED, "fc", ("flat.out",), "output", weights=("fc.w", "fc.b"))
     )

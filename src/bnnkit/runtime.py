@@ -18,7 +18,7 @@ import numpy as np
 
 from . import floatops
 from .kernels import MAX_GROUPS_PER_DOT, BinMatrix, ConvParams, binary_direct_conv
-from .layout import FloatTensor, Layout, check_pad_bits, group_count, pack_to_nc1hwc2
+from .layout import FloatTensor, Layout, check_pad_bits, group_count, pack_to_nc1hwc2, signed_ones
 
 __all__ = [
     "GraphError",
@@ -250,10 +250,6 @@ def _window(node: Node, kernel, x) -> tuple[ConvParams, tuple[int, int]]:
     if attrs.kernel not in (None, tuple(kernel)):
         raise ValueError("kernel attribute does not match weight extents")
     p = ConvParams(kernel, x[1], attrs.stride or (1, 1), attrs.padding or (0, 0))
-    # with the kernel above the padding, this keeps each output extent at
-    # most twice the input's
-    if any(pad > extent for pad, extent in zip(p.padding, x[2:])):
-        raise ValueError(f"padding {p.padding} exceeds input extents {tuple(x[2:])}")
     return p, p.out_extent(x[2], x[3])
 
 
@@ -302,9 +298,7 @@ def _threshold_sign(node, weights, x):
 
     def run(t: FloatTensor) -> FloatTensor:
         negative = (float_order_key(t.nhwc_array()) < bound) ^ flip
-        # the sign bit ORed into 1.0 gives ±1
-        bits = (negative.astype(np.uint32) << np.uint32(31)) | np.uint32(0x3F800000)
-        return FloatTensor.from_array(bits.view(np.float32))
+        return FloatTensor.from_array(signed_ones(negative.astype(np.uint32) << np.uint32(31)))
 
     return x, run
 

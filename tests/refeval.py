@@ -174,6 +174,21 @@ SPECIAL_F32 = np.array(
 ).view(np.float32)
 
 
+# NaNs of several payloads, quiet and signalling, of both signs: the sign-bit
+# rule must read bit 31 of each, whatever the rest.
+NAN_F32 = np.array(
+    [0x7FC00000, 0x7F800001, 0x7FFFFFFF, 0x7FC0BEEF, 0xFFC00001, 0xFF800001,
+     0xFFFFFFFF, 0xFFC0BEEF],
+    dtype=np.uint32,
+).view(np.float32)
+
+
+def sign_values(x: np.ndarray) -> np.ndarray:
+    """±1 by a select on the raw sign bit: -0.0 and NaNs with bit 31 set give -1."""
+    bits = np.ascontiguousarray(x, dtype=np.float32).view(np.uint32) >> np.uint32(31)
+    return np.where(bits, np.float32(-1.0), np.float32(1.0))
+
+
 def threshold_sign(x: np.ndarray, keys: np.ndarray, invert: np.ndarray) -> np.ndarray:
     """ThresholdSign by selects: -1 where the order key of x lies below the
     channel's key (last axis), the comparison flipped where invert is set."""

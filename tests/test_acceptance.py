@@ -265,7 +265,7 @@ def test_model_format_round_trip():
         models = [
             tiny_model(),
             build_birealnet18(np.random.default_rng(42)),
-            build_birealnet18(np.random.default_rng(1), num_classes=10, input_hw=32),
+            build_birealnet18(np.random.default_rng(1), input_hw=32),
         ]
         for seed in range(100, 107):
             gen = np.random.default_rng(seed)

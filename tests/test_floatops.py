@@ -19,8 +19,8 @@ from bnnkit.floatops import (
     relu,
     sign_op,
 )
-from bnnkit.kernels import ConvParams
-from bnnkit.layout import FloatTensor, Layout
+from bnnkit.kernels import BinMatrix, ConvParams, binary_direct_conv
+from bnnkit.layout import FloatTensor, Layout, pack_to_nc1hwc2
 from refeval import convert_layout
 
 
@@ -83,8 +83,9 @@ def conv_geometries(draw):
     kh, kw = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     ph, pw = draw(st.integers(0, kh - 1)), draw(st.integers(0, kw - 1))
     sh, sw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    h = draw(st.integers(max(1, kh - 2 * ph), 12))
-    wd = draw(st.integers(max(1, kw - 2 * pw), 12))
+    # ConvParams rejects a padding beyond the input extent
+    h = draw(st.integers(max(1, kh - 2 * ph, ph), 12))
+    wd = draw(st.integers(max(1, kw - 2 * pw, pw), 12))
     n, c = draw(st.integers(1, 2)), draw(st.integers(1, 4))
     outh, outw = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
     # the scalar loop takes a few microseconds per multiply-add
@@ -194,6 +195,33 @@ class TestSign:
         x = nhwc(np.array([[[[neg_nan]]]], np.float32))
         assert sign_op(x).data.tolist() == [-1.0]
 
+    POOL = np.concatenate([refeval.SPECIAL_F32, refeval.NAN_F32])
+
+    def test_bytes_against_select_form(self, rng):
+        got = sign_op(nhwc(self.POOL.reshape(1, 1, -1, 1))).data
+        assert got.tobytes() == refeval.sign_values(self.POOL).tobytes()
+        x = rng.choice(self.POOL, size=(2, 3, 5, 7))  # NCHW storage
+        got = sign_op(nchw(x)).nhwc_array()
+        assert got.tobytes() == refeval.sign_values(np.transpose(x, (0, 2, 3, 1))).tobytes()
+
+    def test_oracle_operands_against_select_form(self):
+        # through a 1x1 conv with one +1 operand, each output is the other's ±1
+        one = np.ones((1, 1, 1, 1), np.float32)
+        want = refeval.sign_values(self.POOL).tobytes()
+        x = self.POOL.reshape(1, 1, -1, 1)
+        assert oracle_binary_conv(nhwc(x), nchw(one)).data.tobytes() == want
+        w = self.POOL.reshape(-1, 1, 1, 1)
+        assert oracle_binary_conv(nhwc(one), nchw(w)).data.tobytes() == want
+
+    def test_oracle_conv_against_select_form(self, rng):
+        x = rng.choice(self.POOL, size=(1, 4, 5, 6))
+        w = rng.choice(self.POOL, size=(3, 6, 3, 3))
+        params = ConvParams((3, 3), 6, padding=(1, 1))
+        got = oracle_binary_conv(nhwc(x), nchw(w), params).nhwc_array()
+        signs_x, signs_w = refeval.sign_values(x), refeval.sign_values(w)
+        want = refeval.naive_conv(signs_x, signs_w, None, (1, 1), (1, 1), 1.0)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestBatchnorm:
     def test_identity(self, rng):
@@ -266,6 +294,27 @@ class TestWindowValidity:
 
     def test_largest_valid_padding_accepted(self):
         assert avgpool(self.X, (2, 2), (1, 1), (1, 1)).dims == (1, 1, 3, 3)
+
+    W5 = FloatTensor.from_array(np.ones((1, 1, 5, 5), np.float32), Layout.NCHW)
+    P5 = ConvParams((5, 5), 1, padding=(4, 4))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, w, p: maxpool(x, (5, 5), (1, 1), (4, 4)),
+            lambda x, w, p: avgpool(x, (5, 5), (1, 1), (4, 4)),
+            lambda x, w, p: conv2d_f32(x, w, None, p),
+            lambda x, w, p: oracle_binary_conv(x, w, p),
+            lambda x, w, p: binary_direct_conv(
+                pack_to_nc1hwc2(x, 8), BinMatrix(1, 25, 8, np.zeros((1, 25, 1), np.uint8)), p
+            ),
+        ],
+        ids=["maxpool", "avgpool", "conv2d_f32", "oracle_binary_conv", "binary_direct_conv"],
+    )
+    def test_padding_beyond_input_rejected(self, op):
+        # a 5x5 window with padding 4 on a 2x2 input would give a 6x6 output
+        with pytest.raises(ValueError, match=r"padding \(4, 4\) exceeds input extents \(2, 2\)"):
+            op(self.X, self.W5, self.P5)
 
 
 class TestElementwise:

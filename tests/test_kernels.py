@@ -314,6 +314,39 @@ class TestDirectConv:
         )
         assert got == want
 
+    def test_zero_dot_is_positive_zero(self):
+        x = np.full((1, 1, 1, 2), 1.0, np.float32)
+        w = refeval.bin_matrix([[0b01]], 8)  # channel 0 is -1: dot = -1 + 1
+        out = binary_direct_conv(packed_from_values(x, 8), w, ConvParams((1, 1), 2))
+        assert out.data.tobytes() == np.float32(0.0).tobytes()
+
+    def test_equals_bgemm_baseline_bytes(self):
+        """The direct conv's float32 NHWC output equals the im2col + bgemm
+        baseline's dots, pad correction included, byte for byte."""
+        gen = np.random.default_rng(2024)
+        zero_dots = 0
+        for x, wv, params, c2 in refeval.conv_cases(gen, 28):  # every preset 4 times
+            packed = pack_to_nc1hwc2(x, c2)
+            w = _weight_matrix(wv, c2)
+            got = binary_direct_conv(packed, w, params).nhwc_array()
+            dots = match_to_dot(bgemm(w, im2col_packed(packed, params)), params, c2)
+            want = dots.T.astype(np.float32).reshape(got.shape)
+            assert got.tobytes() == want.tobytes()
+            zero_dots += int(np.count_nonzero(dots == 0))
+        assert zero_dots > 0  # so a -0.0 for a zero dot would have shown
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_counts_shape_and_dtype(self, n, rng):
+        x = rng.standard_normal((n, 5, 4, 20)).astype(np.float32)
+        w = _weight_matrix(rng.choice(np.float32([-1, 1]), size=(3, 20, 3, 3)), 16)
+        params = ConvParams((3, 3), 20, stride=(2, 1), padding=(1, 0))  # 3x2 outputs
+        counts = binary_direct_conv_counts(packed_from_values(x, 16), w, params)
+        assert counts.shape == (n, 3, 6)
+        assert counts.dtype == np.int32
+        for img in range(n):
+            one = packed_from_values(x[img : img + 1], 16)
+            assert np.array_equal(counts[img], bgemm(w, im2col_packed(one, params)))
+
     def test_group_width_mismatch(self, rng):
         x = rng.standard_normal((1, 2, 2, 8)).astype(np.float32)
         with pytest.raises(ValueError, match="group width mismatch"):

@@ -245,7 +245,7 @@ class TestHostileFiles:
 
     @pytest.fixture(scope="class")
     def bireal(self):
-        return build_birealnet18(np.random.default_rng(1), num_classes=10, input_hw=32)
+        return build_birealnet18(np.random.default_rng(1), input_hw=32)
 
     def test_undecodable_name(self, bireal):
         raw = bytearray(serialize_model(bireal))
@@ -316,10 +316,49 @@ class TestHostileFiles:
         assert "bad model file" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize(
+        "records",
+        [[(1, (1, 1)), (0, (2, 2))], [(0, (2, 2)), (0, (2, 2))]],
+        ids=["swapped", "repeated"],
+    )
+    def test_attribute_records_out_of_order(self, records, tmp_path, capsys):
+        graph = Graph(
+            nodes=(
+                Node(
+                    OpKind.MAX_POOL,
+                    "p",
+                    ("input",),
+                    "out",
+                    NodeAttrs(kernel=(2, 2), stride=(1, 1)),
+                ),
+            ),
+            inputs=(GraphInput("input", (1, 1, 4, 4)),),
+            initializers={},
+            output="out",
+        )
+        raw = bytearray(serialize_model(PackedModel(graph)))
+
+        def attrs(recs):
+            return bytes([len(recs)]) + b"".join(
+                struct.pack("<B2i", key, *pair) for key, pair in recs
+            )
+
+        at = raw.index(attrs([(0, (2, 2)), (1, (1, 1))]))
+        raw[at : at + len(attrs(records))] = attrs(records)
+        with pytest.raises(ModelFormatError, match="out of order or repeated"):
+            deserialize_model(reseal(raw))
+        model, x = tmp_path / "m.dabn", tmp_path / "x.bin"
+        model.write_bytes(reseal(raw))
+        write_tensor(x, FloatTensor.from_array(np.zeros((1, 4, 4, 1), np.float32)))
+        assert main(["run", str(model), str(x)]) == 1
+        captured = capsys.readouterr()
+        assert "bad model file" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
 
 @functools.lru_cache(maxsize=1)
 def bireal32_bytes() -> bytes:
-    model = build_birealnet18(np.random.default_rng(1), num_classes=10, input_hw=32)
+    model = build_birealnet18(np.random.default_rng(1), input_hw=32)
     return serialize_model(model)
 
 
