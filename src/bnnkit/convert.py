@@ -197,10 +197,35 @@ _OPS = {
 }
 
 
+def _float32_values(values: list) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float32)
+    if arr.ndim != 1:
+        raise ValueError("expected a flat list of numbers")
+    # null decodes as NaN; only a document with NaNs pays for the scan
+    if np.isnan(arr).any() and None in values:
+        raise ValueError("null is not a number")
+    return arr
+
+
+def _decode_object(pairs: list) -> dict:
+    """JSON object hook: an initializer's value list becomes a float32 array
+    as soon as the decoder closes it, so the parse holds one initializer's
+    Python floats at a time.  A list that does not convert stays, for
+    ``parse_interchange`` to report with its path."""
+    obj = dict(pairs)
+    values = obj.get("values")
+    if "dims" in obj and isinstance(values, list):
+        try:
+            obj["values"] = _float32_values(values)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
 def parse_interchange(text: str) -> InterchangeGraph:
     """Parse and structurally validate an interchange JSON document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_decode_object)
     except (ValueError, RecursionError) as exc:
         # ValueError also covers integers too long to convert, RecursionError
         # nesting too deep for the decoder
@@ -231,7 +256,7 @@ def parse_interchange(text: str) -> InterchangeGraph:
         name = _as_name(_require(item, "name", where), f"{where}.name")
         dims = _as_dims(_require(item, "dims", where), f"{where}.dims")
         values = _require(item, "values", where)
-        if not isinstance(values, list):
+        if not isinstance(values, (list, np.ndarray)):
             raise ConversionError(f"{where}.values: expected a list")
         count = 1
         for d in dims:
@@ -243,10 +268,11 @@ def parse_interchange(text: str) -> InterchangeGraph:
         if name in initializers:
             raise ConversionError(f"{where}: duplicate initializer '{name}'")
         try:
-            arr = np.asarray(values, dtype=np.float32).reshape(dims)
-        except (TypeError, ValueError) as exc:
+            if isinstance(values, list):
+                values = _float32_values(values)
+            initializers[name] = values.reshape(dims)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConversionError(f"{where}.values: {exc}") from exc
-        initializers[name] = arr
 
     available = {name for name, _ in inputs} | set(initializers)
     if len(available) != len(inputs) + len(initializers):

@@ -173,7 +173,11 @@ def batchnorm(
     for name, vec in (("gamma", g), ("beta", b), ("mean", mu), ("var", s)):
         if vec.shape != (c,):
             raise ValueError(f"{name} length does not match {c} channels")
-    out = ((x - mu) / s) * g + b
+    # the expression's four passes in the same order, in one output buffer
+    out = np.subtract(x, mu)
+    np.divide(out, s, out=out)
+    np.multiply(out, g, out=out)
+    np.add(out, b, out=out)
     return FloatTensor.from_array(out, Layout.NHWC)
 
 
@@ -187,20 +191,25 @@ def add(a: FloatTensor, b: FloatTensor) -> FloatTensor:
     return FloatTensor.from_array(_nhwc(a) + _nhwc(b), Layout.NHWC)
 
 
-def _pool_slabs(x, window, stride, padding, fill):
+def _pool_geometry(x, window, stride, padding):
+    """Output extents, and per window tap the output slice it reaches
+    inside the image and the strided input slice it reads there."""
     n, h, w, c = x.shape
-    wh, ww = window
-    sh, sw = stride
-    ph, pw = padding
     outh, outw = ConvParams(window, c, stride, padding).out_extent(h, w)
-    if ph or pw:
-        padded = np.full((n, h + 2 * ph, w + 2 * pw, c), fill, dtype=np.float32)
-        padded[:, ph : ph + h, pw : pw + w, :] = x
-    else:
-        padded = x
-    for wy in range(wh):
-        for wx in range(ww):
-            yield padded[:, wy : wy + sh * outh : sh, wx : wx + sw * outw : sw, :]
+
+    def reach(tap, s, p, size, out):
+        # outputs o with 0 <= o*s + tap - p < size
+        first = max(0, -((tap - p) // s))
+        last = min(out, (size - 1 + p - tap) // s + 1)
+        if last <= first:
+            return None
+        start = first * s + tap - p
+        return slice(first, last), slice(start, start + s * (last - first - 1) + 1, s)
+
+    rows = [reach(t, stride[0], padding[0], h, outh) for t in range(window[0])]
+    cols = [reach(t, stride[1], padding[1], w, outw) for t in range(window[1])]
+    taps = [(r, q) for r in rows if r for q in cols if q]
+    return (n, outh, outw, c), taps
 
 
 def maxpool(
@@ -209,11 +218,17 @@ def maxpool(
     stride: tuple[int, int] | None = None,
     padding: tuple[int, int] = (0, 0),
 ) -> FloatTensor:
-    """Window maximum; padded positions never win (they read as -inf)."""
+    """Window maximum; padded positions never win (they read as -inf).
+
+    Taps fold row-major into a -inf output, each over the outputs whose
+    window holds it inside the image, so no padded copy of the input exists.
+    """
     x = _nhwc(input)
-    out = None
-    for slab in _pool_slabs(x, window, stride or window, padding, -np.inf):
-        out = slab.copy() if out is None else np.maximum(out, slab)
+    shape, taps = _pool_geometry(x, window, stride or window, padding)
+    out = np.full(shape, -np.inf, dtype=np.float32)
+    for (oy, iy), (ox, ix) in taps:
+        region = out[:, oy, ox]
+        np.maximum(region, x[:, iy, ix], out=region)
     return FloatTensor.from_array(out, Layout.NHWC)
 
 
@@ -225,18 +240,28 @@ def avgpool(
 ) -> FloatTensor:
     """Window mean over valid (non-pad) positions only.
 
-    Sums walk the window row-major; the divisor counts only in-image
-    positions, so borders are not diluted by padding.
+    Sums walk the window row-major, padded positions adding 0.0; the divisor
+    counts only in-image positions, so borders are not diluted by padding.
     """
     x = _nhwc(input)
-    stride = stride or window
+    n, h, w, c = x.shape
+    (wh, ww), (sh, sw), (ph, pw) = window, stride or window, padding
+    shape, taps = _pool_geometry(x, window, (sh, sw), padding)
+    if ph or pw:
+        padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=np.float32)
+        padded[:, ph : ph + h, pw : pw + w, :] = x
+    else:
+        padded = x
+    outh, outw = shape[1:3]
     total = None
-    for slab in _pool_slabs(x, window, stride, padding, 0.0):
-        total = slab.copy() if total is None else total + slab
-    count = None
-    for slab in _pool_slabs(np.ones(x.shape, np.float32), window, stride, padding, 0.0):
-        count = slab.copy() if count is None else count + slab
-    return FloatTensor.from_array(total / count, Layout.NHWC)
+    for wy in range(wh):
+        for wx in range(ww):
+            slab = padded[:, wy : wy + sh * outh : sh, wx : wx + sw * outw : sw, :]
+            total = slab.copy() if total is None else np.add(total, slab, out=total)
+    count = np.zeros((outh, outw, 1), dtype=np.float32)
+    for (oy, _), (ox, _) in taps:
+        count[oy, ox] += 1
+    return FloatTensor.from_array(np.divide(total, count, out=total), Layout.NHWC)
 
 
 def global_avgpool(input: FloatTensor) -> FloatTensor:
@@ -265,9 +290,11 @@ def flatten(input: FloatTensor) -> FloatTensor:
     return FloatTensor.from_array(flat.reshape(input.dims[0], 1, 1, -1), Layout.NHWC)
 
 
-# Dense-layer terms per block: 4 MB of float32, so a large classifier does
-# not hold all its products at once (Bi-Real-Net-18's and VGG-small's fit one).
-_DENSE_TERMS = 1 << 20
+# Dense-layer terms per block: 0.5 MB of float32, so the classifier's
+# products never outweigh the activations (Bi-Real-Net-18's 512 -> 1000 layer
+# takes four blocks).  Each output row sums alone, so the block size never
+# changes a byte.
+_DENSE_TERMS = 1 << 17
 
 
 def fully_connected(input: FloatTensor, weights, bias=None) -> FloatTensor:
@@ -290,9 +317,10 @@ def fully_connected(input: FloatTensor, weights, bias=None) -> FloatTensor:
     if bias is not None:
         init += np.asarray(bias, dtype=np.float32)
     acc = np.empty((n, out), dtype=np.float32)
-    block = max(1, _DENSE_TERMS // (n * (1 + f)))
+    block = max(1, min(out, _DENSE_TERMS // (n * (1 + f))))
+    buf = np.empty((n, block, 1 + f), dtype=np.float32)
     for o in range(0, out, block):
-        terms = np.empty((n, min(block, out - o), 1 + f), dtype=np.float32)
+        terms = buf[:, : min(block, out - o)]
         terms[..., 0] = init[o : o + block]
         np.multiply(feats[:, None, :], w[o : o + block], out=terms[..., 1:])
         acc[:, o : o + block] = np.add.accumulate(terms, axis=2, out=terms)[..., -1]

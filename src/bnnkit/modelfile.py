@@ -238,7 +238,7 @@ def deserialize_model(data: bytes) -> PackedModel:
     if len(data) > expected:
         raise ModelFormatError("trailing bytes")
     (stored_crc,) = _TRAILER.unpack_from(data, expected - _TRAILER.size)
-    if zlib.crc32(data[: expected - _TRAILER.size]) != stored_crc:
+    if zlib.crc32(memoryview(data)[: expected - _TRAILER.size]) != stored_crc:
         raise ModelFormatError("checksum mismatch")
 
     g = _Reader(data, _HEADER.size, _HEADER.size + graph_len)

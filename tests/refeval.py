@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -25,6 +26,16 @@ from bnnkit.runtime import PackedWeight
 def signbit32(x) -> int:
     """Raw sign bit of a float32 value, via its bit pattern."""
     return int(np.float32(x).view(np.uint32)) >> 31
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that Python allocations reach while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def popcount(value: int) -> int:
@@ -199,12 +210,60 @@ def threshold_sign(x: np.ndarray, keys: np.ndarray, invert: np.ndarray) -> np.nd
     return np.where(below, np.float32(-1.0), np.float32(1.0))
 
 
-def special_mix(rng: np.random.Generator, shape, share: float) -> np.ndarray:
-    """Standard normal float32 with about ``share`` of entries from SPECIAL_F32."""
+def special_mix(
+    rng: np.random.Generator, shape, share: float, pool: np.ndarray = SPECIAL_F32
+) -> np.ndarray:
+    """Standard normal float32 with about ``share`` of entries from ``pool``."""
     x = rng.standard_normal(shape).astype(np.float32)
     pick = rng.random(shape) < share
-    x[pick] = rng.choice(SPECIAL_F32, size=int(pick.sum()))
+    x[pick] = rng.choice(pool, size=int(pick.sum()))
     return x
+
+
+def batchnorm_expression(x: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
+    """BatchNorm on NHWC float32 as one numpy expression with a temporary per
+    pass: ((x - mean) / sqrt(var + eps)) * gamma + beta."""
+    g, b, mu, v = (np.asarray(a, dtype=np.float32) for a in (gamma, beta, mean, var))
+    return ((x - mu) / np.sqrt(v + np.float32(eps))) * g + b
+
+
+def _padded_slabs(x, window, stride, padding, fill):
+    n, h, w, c = x.shape
+    (wh, ww), (sh, sw), (ph, pw) = window, stride, padding
+    outh = (h + 2 * ph - wh) // sh + 1
+    outw = (w + 2 * pw - ww) // sw + 1
+    padded = np.full((n, h + 2 * ph, w + 2 * pw, c), fill, dtype=np.float32)
+    padded[:, ph : ph + h, pw : pw + w, :] = x
+    for wy in range(wh):
+        for wx in range(ww):
+            yield padded[:, wy : wy + sh * outh : sh, wx : wx + sw * outw : sw, :]
+
+
+def padded_pool(
+    x: np.ndarray,
+    window: tuple[int, int],
+    stride: tuple[int, int],
+    padding: tuple[int, int],
+    kind: str,
+) -> np.ndarray:
+    """Pooling over an explicitly padded copy of NHWC ``x``, one window tap
+    at a time in row-major order.
+
+    Max pooling pads with -inf and folds ``np.maximum(acc, tap)``; average
+    pooling pads with 0.0, sums the taps, and divides by the same pooling
+    run over an all-ones input, which counts the in-image positions.
+    """
+    if kind == "max":
+        out = None
+        for slab in _padded_slabs(x, window, stride, padding, -np.inf):
+            out = slab.copy() if out is None else np.maximum(out, slab)
+        return out
+    total = count = None
+    for slab in _padded_slabs(x, window, stride, padding, 0.0):
+        total = slab.copy() if total is None else total + slab
+    for slab in _padded_slabs(np.ones(x.shape, np.float32), window, stride, padding, 0.0):
+        count = slab.copy() if count is None else count + slab
+    return total / count
 
 
 def naive_pool(

@@ -122,6 +122,56 @@ class TestParse:
         with pytest.raises(ConversionError, match="malformed JSON"):
             parse_interchange(text)
 
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([None, 1.0], "null is not a number"),
+            ([1.0, 10**400], "too large"),
+            ([[None], [1.0]], "flat list"),
+            ([[1.0], [2.0]], "flat list"),
+        ],
+        ids=["null", "huge_integer", "nested_null", "nested"],
+    )
+    def test_values_must_be_a_flat_list_of_numbers(self, values, message):
+        doc = make_doc(
+            inputs=[{"name": "input", "dims": [1, 1, 1, 1]}],
+            initializers=[{"name": "w", "dims": [2], "values": values}],
+            nodes=[],
+            output="input",
+        )
+        where = r"\$\.initializers\[0\]\.values"
+        with pytest.raises(ConversionError, match=f"{where}: .*{message}"):
+            parse_interchange(doc)
+
+    def test_nan_token_still_loads(self):
+        doc = make_doc(
+            inputs=[{"name": "input", "dims": [1, 1, 1, 1]}],
+            initializers=[{"name": "w", "dims": [2], "values": [float("nan"), 1.0]}],
+            nodes=[],
+            output="input",
+        )
+        w = parse_interchange(doc).initializers["w"]
+        assert w.dtype == np.float32 and np.isnan(w[0]) and w[1] == 1.0
+
+    def test_parse_holds_one_initializers_floats_at_a_time(self):
+        # json.loads alone holds all 800,000 values as Python floats at once
+        rng = np.random.default_rng(3)
+        text = make_doc(
+            inputs=[{"name": "x", "dims": [1, 1, 1, 1]}],
+            initializers=[
+                {
+                    "name": f"w{i}",
+                    "dims": [200_000],
+                    "values": np.round(rng.standard_normal(200_000), 3).tolist(),
+                }
+                for i in range(4)
+            ],
+            nodes=[{"op": "Relu", "inputs": ["x"], "outputs": ["y"]}],
+            output="y",
+        )
+        json_peak = refeval.traced_peak(json.loads, text)
+        assert refeval.traced_peak(parse_interchange, text) <= 0.5 * json_peak
+
     def test_document_must_be_object(self):
         with pytest.raises(ConversionError, match=r"\$: document"):
             parse_interchange("[1, 2]")
@@ -818,6 +868,8 @@ HOSTILE = {
     "string_epsilon": (("nodes", 0, "attributes", "epsilon"), "1e-5", "bad 'epsilon'"),
     "bool_epsilon": (("nodes", 0, "attributes", "epsilon"), True, "bad 'epsilon'"),
     "huge_int_epsilon": (("nodes", 0, "attributes", "epsilon"), 10**400, "bad 'epsilon'"),
+    "null_value": (("initializers", 0, "values", 0), None, "null is not a number"),
+    "huge_int_value": (("initializers", 0, "values", 0), 10**400, "too large"),
     "bool_group": (("nodes", 2, "attributes", "group"), True, "unsupported 'group'"),
     "bool_dilations": (("nodes", 2, "attributes", "dilations"), [True, 1], "'dilations'"),
     "bool_count_include_pad": (

@@ -32,6 +32,10 @@ def nchw(values):
     return FloatTensor.from_array(np.asarray(values, np.float32), Layout.NCHW)
 
 
+# every special value and NaNs of several payloads and both signs
+SPECIALS = np.concatenate([refeval.SPECIAL_F32, refeval.NAN_F32])
+
+
 def signs(a):
     """±1 by the raw sign bit, as the binary oracle binarizes."""
     return np.where(np.signbit(a), np.float32(-1.0), np.float32(1.0))
@@ -243,6 +247,27 @@ class TestBatchnorm:
         with pytest.raises(ValueError, match="gamma"):
             batchnorm(nhwc(np.zeros((1, 1, 1, 2))), [1.0], [0, 0], [0, 0], [1, 1])
 
+    @pytest.mark.parametrize("c", [1, 3, 8, 17, 64])
+    @pytest.mark.parametrize("eps", [0.0, 1e-5])
+    def test_bytes_against_expression(self, c, eps, rng):
+        x, gamma, beta, mean = (
+            refeval.special_mix(rng, shape, 0.4, SPECIALS)
+            for shape in ((2, 3, 5, c), (c,), (c,), (c,))
+        )
+        var = np.abs(refeval.special_mix(rng, (c,), 0.4, SPECIALS))
+        with np.errstate(all="ignore"):
+            want = refeval.batchnorm_expression(x, gamma, beta, mean, var, eps)
+            got = batchnorm(nhwc(x), gamma, beta, mean, var, eps).nhwc_array()
+            stored = batchnorm(nchw(np.transpose(x, (0, 3, 1, 2))), gamma, beta, mean, var, eps)
+        assert got.tobytes() == want.tobytes()
+        assert stored.nhwc_array().tobytes() == want.tobytes()
+
+    def test_input_left_unchanged(self, rng):
+        x = rng.standard_normal((1, 2, 2, 3)).astype(np.float32)
+        before = x.tobytes()
+        batchnorm(nhwc(x), [2, 2, 2], [1, 1, 1], [0.5] * 3, [4, 4, 4])
+        assert x.tobytes() == before
+
 
 class TestPools:
     def test_maxpool_window(self):
@@ -270,6 +295,28 @@ class TestPools:
         out = pool(nhwc(x), (3, 3), (2, 2), (1, 1))
         want = refeval.naive_pool(x, (3, 3), (2, 2), (1, 1), kind)
         assert np.array_equal(out.nhwc_array(), want)
+
+    # every window of 1 to 3 taps a side with each padding smaller than it
+    GEOMETRIES = [
+        (window, padding)
+        for window in [(1, 1), (2, 2), (3, 3), (2, 3), (3, 1)]
+        for padding in [(0, 0), (1, 1), (1, 0), (2, 2)]
+        if padding[0] < window[0] and padding[1] < window[1]
+    ]
+
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("window,padding", GEOMETRIES)
+    @pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)])
+    def test_bytes_against_padded_form(self, kind, window, padding, stride, rng):
+        pool = maxpool if kind == "max" else avgpool
+        for shape in ((2, 5, 6, 3), (1, 7, 4, 17), (1, 3, 3, 8)):
+            x = refeval.special_mix(rng, shape, 0.4, SPECIALS)
+            with np.errstate(all="ignore"):
+                want = refeval.padded_pool(x, window, stride, padding, kind)
+                got = pool(nhwc(x), window, stride, padding).nhwc_array()
+                stored = pool(nchw(np.transpose(x, (0, 3, 1, 2))), window, stride, padding)
+            assert got.tobytes() == want.tobytes()
+            assert stored.nhwc_array().tobytes() == want.tobytes()
 
 
 class TestWindowValidity:

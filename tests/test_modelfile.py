@@ -177,6 +177,22 @@ class TestRoundTrip:
         save_model(loaded, tmp_path / "again.dabn")
         assert path.read_bytes() == (tmp_path / "again.dabn").read_bytes()
 
+    def test_packed_weights_are_aligned_copies(self):
+        # a packed row is read as 64-bit words; memoryview slices of the file
+        # put them at any address
+        model = deserialize_model(bireal32_bytes())
+        packed = [
+            w.matrix.data
+            for w in model.graph.initializers.values()
+            if isinstance(w, PackedWeight)
+        ]
+        assert len(packed) == 16
+        for data in packed:
+            assert data.ctypes.data % 8 == 0
+            while isinstance(data, np.ndarray):
+                data = data.base
+            assert type(data) is bytes
+
     def test_header_fields(self):
         raw = serialize_model(tiny_model())
         magic, version, graph_len, weight_len = struct.unpack_from("<4sIIQ", raw)

@@ -580,3 +580,22 @@ class TestPlan:
         execute(model, x)
         assert len(produced) == len(model.graph.nodes)
         assert peak < sum(produced)
+
+    def test_inference_peak_without_input_sized_temporaries(self, rng):
+        # BatchNorm and max pooling allocate their output alone; a temporary
+        # per BatchNorm pass and a padded copy of pool1's input made 9.67 MB
+        model = build_birealnet18(np.random.default_rng(7))
+        x = input_tensor(rng.standard_normal((1, 224, 224, 3)).astype(np.float32))
+        assert refeval.traced_peak(execute, model, x) < 7_000_000
+
+    def test_dense_scratch_below_activations(self, rng):
+        # at 32 px the 512 -> 1000 classifier's products, 2.05 MB in one
+        # block, outweighed all 0.68 MB of activations the net produces
+        model = build_birealnet18(np.random.default_rng(7), input_hw=32)
+        x = input_tensor(rng.standard_normal((1, 32, 32, 3)).astype(np.float32))
+        peak = refeval.traced_peak(execute, model, x)
+        env, produced = {model.graph.inputs[0].name: x}, 0
+        for node, run, _ in model.graph._plan:
+            env[node.output] = run(*[env[src] for src in node.inputs])
+            produced += env[node.output].data.nbytes
+        assert peak < produced
