@@ -21,7 +21,6 @@ from .kernels import (
     bgemm,
     bgemm_no_addv,
     binary_direct_conv,
-    binary_direct_conv_counts,
     im2col_packed,
     match_to_dot,
 )

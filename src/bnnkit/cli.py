@@ -1,8 +1,11 @@
 """Command-line front end: model conversion, inference, and benchmarks.
 
 Exit codes: 0 success, 1 validation error (bad documents, bad model bytes,
-mismatched shapes, failed cross-checks), 2 I/O error (unreadable or
-truncated files, unwritable outputs).
+mismatched shapes, failed cross-checks, bad options), 2 I/O error
+(unreadable or truncated files, unwritable outputs).  Subcommands raise;
+``main`` is the one place codes 1 and 2 are assigned, printing one
+``error:`` line.  Argparse usage errors (``--sizes huge``, ``--c2 abc``)
+exit 2 through argparse itself.
 
 Benchmarks are single-threaded, report the median over the requested
 repetitions after one untimed warm-up, and cross-check variant outputs for
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .bitpack import pack_naive
-from .convert import ConversionError, ConvertOptions, convert_model, parse_interchange
+from .convert import ConvertOptions, convert_model, pack_conv_weight, parse_interchange
 from .kernels import (
     ConvParams,
     bgemm,
@@ -39,9 +42,10 @@ from .modelfile import ModelFormatError, load_model, save_model
 from .nets import build_birealnet18
 from .runtime import GraphError, execute
 from .tensorio import TensorFileError, read_tensor, write_tensor
-from .convert import pack_conv_weight
 
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
+# Prefixes ``main`` prints for error types whose message does not say what failed.
+_PREFIXES = {ModelFormatError: "bad model file: ", UnicodeDecodeError: "document is not UTF-8: "}
 
 _PACKING_CASES = {
     "full": [(s, c) for s in (32, 64, 128) for c in (64, 128, 256)],
@@ -75,30 +79,13 @@ class BenchRecord:
     ratio: float
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _cmd_convert(args) -> int:
-    try:
-        text = Path(args.input).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except UnicodeDecodeError as exc:
-        return _fail(f"document is not UTF-8: {exc}", EXIT_VALIDATION)
-    try:
-        graph = parse_interchange(text)
-        options = ConvertOptions(c2=args.c2, fuse_bn_sign=args.fuse_bn_sign)
-        model, report = convert_model(graph, options)
-    except (ConversionError, ValueError) as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    text = Path(args.input).read_text(encoding="utf-8")
+    options = ConvertOptions(c2=args.c2, fuse_bn_sign=args.fuse_bn_sign)
+    model, report = convert_model(parse_interchange(text), options)
     report_path = args.report or args.output + ".report.json"
-    try:
-        save_model(model, args.output)
-        Path(report_path).write_text(report.to_json() + "\n", encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    save_model(model, args.output)
+    Path(report_path).write_text(report.to_json() + "\n", encoding="utf-8")
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"wrote {args.output} (report: {report_path})")
@@ -106,25 +93,9 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        model = load_model(args.model)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except ModelFormatError as exc:
-        return _fail(f"bad model file: {exc}", EXIT_VALIDATION)
-    try:
-        tensor = read_tensor(args.input)
-    except (OSError, TensorFileError) as exc:
-        return _fail(str(exc), EXIT_IO)
-    try:
-        result = execute(model, tensor)
-    except GraphError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    result = execute(load_model(args.model), read_tensor(args.input))
     out_path = args.output or args.input + ".out"
-    try:
-        write_tensor(out_path, result)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    write_tensor(out_path, result)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -221,25 +192,22 @@ def _bench_net(seed, hw, repeat) -> list[BenchRecord]:
 
 def _cmd_bench(args) -> int:
     if args.suite not in _SUITES:
-        return _fail(f"unknown suite '{args.suite}' (choose from {', '.join(_SUITES)})", EXIT_VALIDATION)
+        raise ValueError(f"unknown suite '{args.suite}' (choose from {', '.join(_SUITES)})")
     if args.repeat < 1:
-        return _fail("--repeat must be >= 1", EXIT_VALIDATION)
-    try:
-        seed = int(os.environ.get("BNN_SEED", "0"))
-    except ValueError:
-        return _fail("BNN_SEED must be an integer", EXIT_VALIDATION)
+        raise ValueError("--repeat must be >= 1")
+    seed_text = os.environ.get("BNN_SEED", "0").strip()
+    if not seed_text.isdecimal():
+        raise ValueError("BNN_SEED must be a non-negative integer")
+    seed = int(seed_text)
     rng = np.random.default_rng(seed)
     note = None
-    try:
-        if args.suite == "packing":
-            records = _bench_packing(rng, _PACKING_CASES[args.sizes], args.repeat)
-        elif args.suite == "conv":
-            records = _bench_conv(rng, _CONV_CASES[args.sizes], args.repeat)
-            note = "note: bgemm_no_addv skips the final reduction; timing only, not valid for inference"
-        else:
-            records = _bench_net(seed, _NET_HW[args.sizes], args.repeat)
-    except CrossCheckError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    if args.suite == "packing":
+        records = _bench_packing(rng, _PACKING_CASES[args.sizes], args.repeat)
+    elif args.suite == "conv":
+        records = _bench_conv(rng, _CONV_CASES[args.sizes], args.repeat)
+        note = "note: bgemm_no_addv skips the final reduction; timing only, not valid for inference"
+    else:
+        records = _bench_net(seed, _NET_HW[args.sizes], args.repeat)
     print("suite,case,variant,median_ns,ratio")
     for r in records:
         print(f"{r.suite},{r.case},{r.variant},{r.median_ns},{r.ratio:.6f}")
@@ -287,7 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError, GraphError, CrossCheckError) as exc:
+        # TensorFileError is a ValueError but names an unreadable input.
+        code = EXIT_IO if isinstance(exc, (OSError, TensorFileError)) else EXIT_VALIDATION
+        print(f"error: {_PREFIXES.get(type(exc), '')}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -354,17 +354,18 @@ def detect_binary_convs(g: InterchangeGraph) -> set[str]:
 def pack_conv_weight(values: np.ndarray, c2: int = 128) -> PackedWeight:
     """Pack an (out, in, kh, kw) ±-signed filter bank into per-filter bit rows.
 
-    The bank is packed as an NCHW tensor, then row m is reordered to walk
-    taps kernel-row major, then kernel column, then channel group: exactly
-    the order im2col produces columns.
+    The bank is packed as m * kh * kw one-pixel NHWC images of c channels,
+    so row m already walks taps kernel-row major, then kernel column, then
+    channel group: exactly the order im2col produces columns.
     """
     w = np.asarray(values, dtype=np.float32)
     if w.ndim != 4:
         raise ValueError("expected (out, in, kh, kw) weights")
     m, c, kh, kw = w.shape
-    packed = pack_to_nc1hwc2(FloatTensor.from_array(w, Layout.NCHW), c2)
+    taps = w.transpose(0, 2, 3, 1).reshape(m * kh * kw, 1, 1, c)
+    packed = pack_to_nc1hwc2(FloatTensor.from_array(taps, Layout.NHWC), c2)
     k = kh * kw * packed.c1
-    rows = packed.data.transpose(0, 2, 3, 1, 4).reshape(m, k, packed.c2 // 8)
+    rows = packed.data.reshape(m, k, packed.c2 // 8)
     return PackedWeight((m, c, kh, kw), packed.c2, BinMatrix(m, k, packed.c2, rows))
 
 

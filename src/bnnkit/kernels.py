@@ -32,7 +32,6 @@ __all__ = [
     "im2col_packed",
     "match_to_dot",
     "binary_direct_conv",
-    "binary_direct_conv_counts",
 ]
 
 # Bytes (8-bit groups) one dot product may span: its mismatch count is held
@@ -255,18 +254,3 @@ def binary_direct_conv(
         np.multiply(acc.T, np.float32(-2), out=out[img])
         out[img] += np.float32(kh * kw * p.channels)  # a dot of 0 is +0.0
     return FloatTensor.from_array(out.reshape(n, outh, outw, m), Layout.NHWC)
-
-
-def binary_direct_conv_counts(
-    input: PackedTensor, weights: BinMatrix, p: ConvParams
-) -> np.ndarray:
-    """Per-position match counts of the direct convolution, pad bits counted
-    as matches (as ``bgemm`` counts them): (n, M, out_h * out_w) int32.
-
-    The inverse of dot = 2 * (matches - kh*kw*(c1*c2 - c)) - kh*kw*c.
-    """
-    dots = binary_direct_conv(input, weights, p).array4d()
-    n, outh, outw, m = dots.shape
-    offset = math.prod(p.kernel) * (2 * input.c1 * input.c2 - p.channels)
-    matches = (dots.reshape(n, outh * outw, m).astype(np.int32) + offset) // 2
-    return np.ascontiguousarray(matches.transpose(0, 2, 1))

@@ -5,7 +5,9 @@ arithmetic on ints, or float-level graph walks.  None of them touch the
 packed bit kernels, so agreement between a kernel and its helper is a real
 cross-check rather than the same code run twice.  The graph walker leans on
 the float operators, whose own correctness is pinned separately against the
-scalar loops in this file.
+scalar loops in this file.  ``binary_direct_conv_counts`` is the one adapter
+over a kernel: it reads the direct convolution's dots back as ``bgemm``-style
+match counts, so the two can be compared.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from bnnkit import floatops
 from bnnkit.convert import InterchangeGraph
-from bnnkit.kernels import BinMatrix, ConvParams
+from bnnkit.kernels import BinMatrix, ConvParams, binary_direct_conv
 from bnnkit.layout import FloatTensor, Layout, PackedTensor, check_group_bits, group_count
 from bnnkit.runtime import PackedWeight
 
@@ -116,6 +118,22 @@ def bgemm_oracle(a: BinMatrix, b: BinMatrix) -> np.ndarray:
                 total += popcount(~(av ^ bv) & mask)
             out[i, j] = total
     return out
+
+
+def binary_direct_conv_counts(
+    input: PackedTensor, weights: BinMatrix, p: ConvParams
+) -> np.ndarray:
+    """Per-position match counts of the direct convolution, pad bits counted
+    as matches (as ``bgemm`` counts them): (n, M, out_h * out_w) int32.
+
+    The inverse of dot = 2 * (matches - kh*kw*(c1*c2 - c)) - kh*kw*c.
+    """
+    dots = binary_direct_conv(input, weights, p).array4d()
+    n, outh, outw, m = dots.shape
+    kh, kw = p.kernel
+    offset = kh * kw * (2 * input.c1 * input.c2 - p.channels)
+    matches = (dots.reshape(n, outh * outw, m).astype(np.int32) + offset) // 2
+    return np.ascontiguousarray(matches.transpose(0, 2, 1))
 
 
 def naive_conv(

@@ -18,7 +18,7 @@ import numpy as np
 
 import conftest
 import refeval
-from refeval import index_nc1hwc2, unpack_from_nc1hwc2
+from refeval import binary_direct_conv_counts, index_nc1hwc2, unpack_from_nc1hwc2
 from bnnkit.bitpack import pack_naive
 from bnnkit.cli import main as cli_main
 from bnnkit.convert import (
@@ -34,7 +34,6 @@ from bnnkit.kernels import (
     ConvParams,
     bgemm,
     binary_direct_conv,
-    binary_direct_conv_counts,
     im2col_packed,
     match_to_dot,
 )

@@ -265,9 +265,10 @@ class TestBenchCommand:
         capsys.readouterr()
 
     def test_bad_seed_env_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("BNN_SEED", "not-a-number")
-        assert main(["bench", "--suite", "packing", "--sizes", "small"]) == 1
-        assert "BNN_SEED" in capsys.readouterr().err
+        for seed in ("not-a-number", "-1"):
+            monkeypatch.setenv("BNN_SEED", seed)
+            assert main(["bench", "--suite", "packing", "--sizes", "small"]) == 1
+            assert "BNN_SEED" in capsys.readouterr().err
 
     def test_seed_env_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("BNN_SEED", "123")
@@ -308,3 +309,19 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == HEADER
+
+    def test_negative_seed_exit_1_without_traceback(self, tmp_path):
+        env = dict(os.environ, BNN_SEED="-1")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        argv = ["bench", "--suite", "packing", "--sizes", "small", "--repeat", "1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bnnkit", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: BNN_SEED must be a non-negative integer"]

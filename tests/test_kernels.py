@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refeval
+from refeval import binary_direct_conv_counts
 from bnnkit.floatops import oracle_binary_conv
 from bnnkit.kernels import (
     MAX_GROUPS_PER_DOT,
@@ -12,7 +13,6 @@ from bnnkit.kernels import (
     bgemm,
     bgemm_no_addv,
     binary_direct_conv,
-    binary_direct_conv_counts,
     im2col_packed,
     match_to_dot,
 )

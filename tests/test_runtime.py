@@ -540,8 +540,8 @@ class TestPlan:
         assert execute(pickle.loads(pickle.dumps(model)), x) == execute(model, x)
 
     def test_execute_frees_dead_activations(self, rng, monkeypatch):
-        # at 224 the activations dwarf the 2 MB scratch of the 1000-class
-        # dense layer, which at 32 alone outweighs them all
+        # at 224 the activations dwarf the dense layer's scratch, blocks of
+        # at most 0.5 MB that stay below all activations even at 32
         model = build_birealnet18(np.random.default_rng(7))
         x = input_tensor(rng.standard_normal((1, 224, 224, 3)).astype(np.float32))
         tracemalloc.start()
