@@ -85,7 +85,12 @@ def _cmd_convert(args) -> int:
     model, report = convert_model(parse_interchange(text), options)
     report_path = args.report or args.output + ".report.json"
     save_model(model, args.output)
-    Path(report_path).write_text(report.to_json() + "\n", encoding="utf-8")
+    try:
+        Path(report_path).write_text(report.to_json() + "\n", encoding="utf-8")
+    except OSError:
+        # a model without its report is not a finished conversion
+        Path(args.output).unlink(missing_ok=True)
+        raise
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"wrote {args.output} (report: {report_path})")

@@ -19,7 +19,9 @@ byte sizes before and after.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from json.scanner import NUMBER_RE
 
 import numpy as np
 
@@ -204,6 +206,18 @@ def _float32_values(values: list) -> np.ndarray:
     # null decodes as NaN; only a document with NaNs pays for the scan
     if np.isnan(arr).any() and None in values:
         raise ValueError("null is not a number")
+    # numpy reads the string "1" and true as 1.0.  sum() stops at a string
+    # in C time, and a boolean reads as 0 or 1, so only a list that fails
+    # sum() or holds a 0 or 1 pays for the scan of every element's type.
+    try:
+        sum(values)
+        plain = not ((arr == 0) | (arr == 1)).any()
+    except (TypeError, OverflowError):
+        plain = False
+    if not plain:
+        odd = {type(v).__name__ for v in values} - {"float", "int"}
+        if odd:
+            raise ValueError(f"expected numbers, got {', '.join(sorted(odd))}")
     return arr
 
 
@@ -222,14 +236,174 @@ def _decode_object(pairs: list) -> dict:
     return obj
 
 
+# A "values" key whose list ``_decode_cut`` may read from the raw text
+_VALUES_KEY = re.compile(r'"values"[ \t\n\r]*:[ \t\n\r]*\[')
+_WHITESPACE = " \t\n\r"
+_CHUNK = 1 << 18
+# masks keeping the low n bytes of a little-endian uint64 key, by n
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+
+
+class _Declined(Exception):
+    """The cut-out document cannot stand for the original one."""
+
+
+def _token_keys(chunk: str) -> np.ndarray | None:
+    """Each number token of ``chunk``, a comma-cut piece of a number list,
+    as a uint64 of its (at most 8) ASCII bytes; None when a token is empty
+    or longer, a byte is NUL or not ASCII (a NUL would vanish from a key),
+    or whitespace sits anywhere but after the commas."""
+    chunk = chunk.strip(_WHITESPACE)
+    if "\0" in chunk:
+        return None
+    try:
+        text = np.frombuffer(chunk.encode("ascii"), np.uint8)
+    except UnicodeEncodeError:
+        return None
+    commas = np.flatnonzero(text == ord(","))
+    # json.dumps writes the same whitespace after every comma: " ", or a
+    # newline and an indent.  Tokens start past that many bytes.  Tokens
+    # that read as numbers hold no whitespace, so if the chunk holds as
+    # much whitespace as it skips, the skipped bytes are all whitespace.
+    after = chunk[commas[0] + 1 : commas[0] + 65] if len(commas) else ""
+    gap = len(after) - len(after.lstrip(_WHITESPACE))
+    starts = np.empty(len(commas) + 1, np.intp)
+    starts[0] = 0
+    starts[1:] = commas + 1 + gap
+    lengths = np.empty_like(starts)
+    lengths[:-1] = commas
+    lengths[-1] = len(text)
+    lengths -= starts
+    if lengths.min() < 1 or lengths.max() > 8:
+        return None
+    if sum(np.count_nonzero(text == ord(c)) for c in _WHITESPACE) != gap * len(commas):
+        return None
+    padded = np.zeros(len(text) + 8, np.uint8)
+    padded[: len(text)] = text
+    words = np.ndarray(len(text), "<u8", padded, strides=(1,))
+    return words[starts] & _KEY_MASKS[lengths]
+
+
+def _read_tokens(keys: np.ndarray) -> list | None:
+    """The numbers json reads from the tokens ``keys`` spell, or None when
+    one is not a JSON number."""
+    numbers = []
+    for key in keys.tolist():
+        token = key.to_bytes(8, "little").rstrip(b"\0").decode("ascii")
+        match = NUMBER_RE.fullmatch(token)
+        if match is None:
+            return None
+        _, frac, exp = match.groups()
+        numbers.append(float(token) if frac or exp else int(token))
+    return numbers
+
+
+def _read_values(text: str, lo: int, close: int) -> np.ndarray | None:
+    """The float32 values of the number list ``text[lo:close]``, or None to
+    leave the list to json.
+
+    The list is read in comma-cut chunks of about 256 KB.  Each distinct
+    token of a chunk is read once, as json reads it, and converted as
+    ``_float32_values`` converts it.  A token longer than 8 bytes or not a
+    JSON number (``NaN`` and ``Infinity`` included) declines the list, and
+    so does a list where more than one token in eight so far needed its own
+    read, which the first chunk decides: a declined list costs one chunk."""
+    parts = []
+    tokens = distinct_tokens = 0
+    pos = lo
+    while pos <= close:
+        end = close if close - pos <= _CHUNK else text.rfind(",", pos, pos + _CHUNK)
+        keys = _token_keys(text[pos:end]) if end >= 0 else None
+        if keys is None:
+            return None
+        ordered = np.sort(keys)
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        tokens += len(keys)
+        distinct_tokens += len(distinct)
+        if 8 * distinct_tokens > tokens:
+            return None
+        numbers = _read_tokens(distinct)
+        if numbers is None:
+            return None
+        index = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct)))
+        parts.append((np.asarray(numbers, dtype=np.float32), index))
+        pos = end + 1
+    values = np.empty(tokens, np.float32)
+    at = 0
+    for numbers, index in parts:
+        np.take(numbers, index, out=values[at : at + len(index)])
+        at += len(index)
+    return values
+
+
+def _decode_cut(text: str):
+    """Decode ``text`` with the number lists of its "values" keys read by
+    ``_read_values``, or return None to leave the whole text to json.
+
+    Each list read is cut out of the text and a numbered placeholder string
+    takes its place; json decodes the rest, and the object hook puts back
+    the float32 values (an object with "dims") or json's own list of the
+    cut span (any other object).  A rest that does not decode, an object
+    with a repeated key, or a placeholder not found exactly once as the
+    value of a "values" key (the key ``"\\"values"`` also matches) sends
+    the whole text to json, so every document and error reads as if json
+    had decoded it all.  Strict JSON can put a NUL in a string only as the
+    escape ``\\u0000``, so a rest holding no escape but the placeholders'
+    cannot forge one."""
+    pieces, lists = [], []
+    done = pos = 0
+    while (match := _VALUES_KEY.search(text, pos)) is not None:
+        # the search resumes past the list's "]", read or not, so it never
+        # scans a number list; a "values" key skipped inside is json's
+        lo = match.end()
+        close = text.find("]", lo)
+        if close < 0:
+            break
+        pos = close + 1
+        values = _read_values(text, lo, close)
+        if values is None:
+            continue
+        pieces += [text[done : lo - 1], f'"\\u0000{len(lists)}"']
+        lists.append((values, lo - 1, pos))
+        done = pos
+    if not lists:
+        return None
+    pieces.append(text[done:])
+    rest = "".join(pieces)
+    if rest.count("\\u0000") != len(lists):
+        return None
+    slots = {f"\0{i}": i for i in range(len(lists))}
+    uses = [0] * len(lists)
+
+    def hook(pairs: list) -> dict:
+        obj = _decode_object(pairs)
+        if len(obj) != len(pairs):
+            raise _Declined  # the dropped value may be a placeholder
+        values = obj.get("values")
+        if isinstance(values, str) and values in slots:
+            i = slots[values]
+            uses[i] += 1
+            array, start, end = lists[i]
+            obj["values"] = array if "dims" in obj else json.loads(text[start:end])
+        return obj
+
+    try:
+        doc = json.loads(rest, object_pairs_hook=hook)
+    except (ValueError, RecursionError, _Declined):
+        return None
+    return doc if uses == [1] * len(lists) else None
+
+
 def parse_interchange(text: str) -> InterchangeGraph:
     """Parse and structurally validate an interchange JSON document."""
-    try:
-        doc = json.loads(text, object_pairs_hook=_decode_object)
-    except (ValueError, RecursionError) as exc:
-        # ValueError also covers integers too long to convert, RecursionError
-        # nesting too deep for the decoder
-        raise ConversionError(f"malformed JSON: {exc}") from exc
+    doc = _decode_cut(text)
+    if doc is None:
+        try:
+            doc = json.loads(text, object_pairs_hook=_decode_object)
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers integers too long to convert, RecursionError
+            # nesting too deep for the decoder
+            raise ConversionError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConversionError("$: document must be an object")
 

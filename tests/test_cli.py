@@ -152,6 +152,14 @@ class TestConvertCommand:
         out = tmp_path / "missing_dir" / "m.dabn"
         assert main(["convert", str(doc), str(out)]) == 2
 
+    def test_unwritable_report_exit_2_without_model(self, tmp_path):
+        doc = tmp_path / "g.json"
+        doc.write_text(tiny_doc())
+        model = tmp_path / "m.dabn"
+        report = tmp_path / "missing_dir" / "r.json"
+        assert main(["convert", str(doc), str(model), "--report", str(report)]) == 2
+        assert not model.exists()
+
 
 @pytest.fixture
 def converted(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,8 +130,11 @@ class TestParse:
             ([1.0, 10**400], "too large"),
             ([[None], [1.0]], "flat list"),
             ([[1.0], [2.0]], "flat list"),
+            (["1", 2.0], "got str"),
+            ([True, 1.0], "got bool"),
+            ([1.0, True], "got bool"),
         ],
-        ids=["null", "huge_integer", "nested_null", "nested"],
+        ids=["null", "huge_integer", "nested_null", "nested", "string", "bool_first", "bool_last"],
     )
     def test_values_must_be_a_flat_list_of_numbers(self, values, message):
         doc = make_doc(
@@ -142,6 +146,21 @@ class TestParse:
         where = r"\$\.initializers\[0\]\.values"
         with pytest.raises(ConversionError, match=f"{where}: .*{message}"):
             parse_interchange(doc)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("order", [(0, 0, 1), (1, 0, 0)], ids=["huge_first", "huge_last"])
+    def test_integers_summing_past_float_range_load(self, order):
+        # 2 * 1.7e308 as an integer does not convert to float when 1.5 is added
+        huge = 17 * 10**307
+        values = [(huge, 1.5)[i] for i in order]
+        doc = make_doc(
+            inputs=[{"name": "input", "dims": [1, 1, 1, 1]}],
+            initializers=[{"name": "w", "dims": [3], "values": values}],
+            nodes=[],
+            output="input",
+        )
+        w = parse_interchange(doc).initializers["w"]
+        assert w.tolist() == [float(np.float32(v)) for v in values]
 
     def test_nan_token_still_loads(self):
         doc = make_doc(
@@ -171,6 +190,24 @@ class TestParse:
         )
         json_peak = refeval.traced_peak(json.loads, text)
         assert refeval.traced_peak(parse_interchange, text) <= 0.5 * json_peak
+
+    @pytest.mark.parametrize("count,indent", [(2_000_000, None), (400_000, 2)])
+    def test_pm1_lists_parse_in_a_quarter_of_jsons_peak(self, count, indent, rng):
+        # json.loads holds one Python float per value; the parse holds the
+        # float32 result and a small index per value
+        text = json.dumps(
+            {
+                "inputs": [{"name": "x", "dims": [1, 1, 1, 1]}],
+                "initializers": [
+                    {"name": "w", "dims": [count], "values": pm1(rng, count).tolist()}
+                ],
+                "nodes": [{"op": "Relu", "inputs": ["x"], "outputs": ["y"]}],
+                "output": "y",
+            },
+            indent=indent,
+        )
+        json_peak = refeval.traced_peak(json.loads, text)
+        assert refeval.traced_peak(parse_interchange, text) <= 0.25 * json_peak
 
     def test_document_must_be_object(self):
         with pytest.raises(ConversionError, match=r"\$: document"):
@@ -228,6 +265,169 @@ class TestParse:
         doc = doc.replace('"pads": [0, 0, 0, 0]', '"pads": [1, 0, 0, 0]')
         with pytest.raises(ConversionError, match="asymmetric pads"):
             convert_model(parse_interchange(doc))
+
+
+# Number tokens the parser reads from the raw text ...
+_SHORT_TOKENS = [
+    "1.0", "-1.0", "1", "-1", "0", "-0", "-0.0", "0.0", "1.00", "1e5", "1E+2",
+    "-2.5e-3", "12345678", "0.5", "1e999",
+]
+# ... and ones that send a list to json: too long, not JSON numbers (NaN and
+# Infinity are Python's extensions), or breaking the document
+_ODD_TOKENS = [
+    "123456789", "0.30000001192092896", "NaN", "Infinity", "-Infinity", "01",
+    "1.", ".5", "+1", "1e", "--1", "1 .0", "true", '"1"', "null", "1\x0b", "[1.0]",
+    "-", "1\xa0",
+]
+_SEPARATORS = [", ", ", ", ",", ",\n  ", ",\n\t", ",\r\n    ", " , ", ",\x0b", ",\xa0"]
+
+
+@st.composite
+def value_lists(draw):
+    """(JSON text of a number list, its length)."""
+    if draw(st.integers(0, 5)) == 0:
+        floats = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        tokens = [repr(v) for v in draw(st.lists(floats, max_size=40))]
+    else:
+        alphabet = draw(st.lists(st.sampled_from(_SHORT_TOKENS), min_size=1, max_size=3))
+        # a list is read from the text only if at most one token in 8 is distinct
+        size = draw(st.sampled_from([0, 1, 5, 16, 40, 80]))
+        tokens = draw(st.lists(st.sampled_from(alphabet), min_size=size, max_size=size + 20))
+    if tokens and draw(st.integers(0, 4)) == 0:
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    separator = draw(st.sampled_from(_SEPARATORS[:4])) if draw(st.booleans()) else ", "
+    text = separator.join(tokens)
+    if len(tokens) > 2 and draw(st.booleans()):
+        at = text.find(separator, len(text) // 2)
+        text = text[:at] + draw(st.sampled_from(_SEPARATORS)) + text[at + len(separator):]
+    opening, closing = draw(st.sampled_from([("", ""), (" ", " "), ("\n    ", "\n  ")]))
+    return f"[{opening}{text}{closing}]", len(tokens)
+
+
+@st.composite
+def value_documents(draw):
+    """Interchange documents whose number lists test the raw-text reader."""
+    inits = []
+    for i in range(draw(st.integers(1, 3))):
+        values, count = draw(value_lists())
+        dims = count + draw(st.sampled_from([0, 0, 0, 1]))
+        name = draw(st.sampled_from([f"w{i}", f'w{i} \\"values\\": [1.0, 1.0]']))
+        key = draw(st.sampled_from(['"values"', '"values"', '"\\u0076alues"']))
+        extra = draw(
+            st.sampled_from(["", "", "", ', "values": [1.0, -1.0]'] + [', "\\"values": ' + values] * 2)
+        )
+        shown = values
+        if draw(st.integers(0, 4)) == 0:
+            # a string spelling the placeholder of a list read from the text
+            shown = '"\\u0000%d"' % draw(st.sampled_from([0, 0, 1]))
+        fields = [f'"name": "{name}"', f'"dims": [{dims}]', f"{key}: {shown}{extra}"]
+        if draw(st.booleans()):
+            fields.reverse()
+        inits.append("{" + ", ".join(fields) + "}")
+    attributes = "{}"
+    if draw(st.booleans()):
+        attributes = '{"values": %s}' % draw(value_lists())[0]
+    text = (
+        '{"inputs": [{"name": "x", "dims": [1, 1, 1, 1]}], "initializers": [%s], '
+        '"nodes": [{"op": "Relu", "inputs": ["x"], "outputs": ["y"], "attributes": %s}], '
+        '"output": "y"}' % (", ".join(inits), attributes)
+    )
+    if draw(st.integers(0, 3)) == 0:
+        try:
+            text = json.dumps(json.loads(text), indent=2)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_outcome(text):
+    """What parse_interchange makes of ``text``, in comparable form."""
+    try:
+        g = parse_interchange(text)
+    except ConversionError as exc:
+        return ("error", str(exc))
+    return (
+        g.inputs,
+        {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in g.initializers.items()},
+        [(n.op, n.name, n.inputs, n.output, repr(n.attributes)) for n in g.nodes],
+        g.output,
+    )
+
+
+def plain_outcome(text):
+    """The same, with every list left to json's decoder."""
+    with mock.patch.object(convert, "_decode_cut", lambda text: None):
+        return parse_outcome(text)
+
+
+def comparable(value):
+    """A decoded JSON value with arrays as bytes and numbers by type and repr."""
+    if isinstance(value, dict):
+        return {k: comparable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [comparable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.tobytes())
+    if isinstance(value, (int, float)):
+        return (type(value).__name__, repr(value))
+    return value
+
+
+class TestRawValueLists:
+    """Number lists read from the raw text parse exactly as json's decoder
+    and ``_float32_values`` parse them, or leave the list to that path."""
+
+    @settings(max_examples=400, derandomize=True)
+    @given(text=value_documents())
+    def test_same_as_plain_path(self, text):
+        assert parse_outcome(text) == plain_outcome(text)
+        # a document read from the text is json's own, even where an earlier
+        # error would hide the difference from parse_interchange
+        doc = convert._decode_cut(text)
+        if doc is not None:
+            plain = json.loads(text, object_pairs_hook=convert._decode_object)
+            assert comparable(doc) == comparable(plain)
+
+    @staticmethod
+    def one_list_doc(values: str, count: int) -> str:
+        """A document with the list text ``values`` as an initializer's
+        values and as a node attribute."""
+        return (
+            '{"inputs": [{"name": "x", "dims": [1, 1, 1, 1]}], '
+            '"initializers": [{"name": "w", "dims": [%d], "values": %s}], '
+            '"nodes": [{"op": "Relu", "inputs": ["x"], "outputs": ["y"], '
+            '"attributes": {"values": %s}}], "output": "y"}' % (count, values, values)
+        )
+
+    @pytest.mark.parametrize("separator", [", ", ",\n      "], ids=["compact", "indented"])
+    def test_short_tokens_are_read_from_text(self, separator):
+        odd = ["-0", "-0.0", "1", "-1", "1.00", "1E+2", "12345678", "-2.5e-3"]
+        tokens = ["1.0", "-1.0"] * 36 + odd
+        text = self.one_list_doc("[" + separator.join(tokens) + "]", len(tokens))
+        assert convert._decode_cut(text) is not None
+        assert parse_outcome(text) == plain_outcome(text)
+        w = parse_interchange(text).initializers["w"]
+        assert not np.signbit(w[72]) and np.signbit(w[73])  # "-0" is the integer 0
+
+    def test_placeholder_cannot_be_forged(self):
+        # the key "x\"values" matches the key search, so its list is read and
+        # cut; the string "\u00000" spells that list's placeholder
+        text = (
+            '{"inputs": [{"name": "x", "dims": [1, 1, 1, 1]}], '
+            '"initializers": [{"name": "w", "dims": [8], "values": "\\u00000", '
+            '"x\\"values": [1, 1, 1, 1, 1, 1, 1, 1]}], "nodes": [], "output": "x"}'
+        )
+        assert convert._decode_cut(text) is None
+        assert parse_outcome(text) == plain_outcome(text)
+        assert parse_outcome(text) == ("error", "$.initializers[0].values: expected a list")
+
+    @pytest.mark.parametrize(
+        "token", ["NaN", "Infinity", "123456789", "1 .0"], ids=["nan", "inf", "long", "split"]
+    )
+    def test_odd_token_leaves_list_to_json(self, token):
+        text = self.one_list_doc("[" + ", ".join(["1.0"] * 31 + [token]) + "]", 32)
+        assert convert._decode_cut(text) is None
+        assert parse_outcome(text) == plain_outcome(text)
 
 
 class TestDetection:
