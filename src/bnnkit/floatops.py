@@ -9,9 +9,11 @@ can be compared exactly against naive scalar loops with the same nesting.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
-from .kernels import ConvParams
+from .kernels import ConvParams, _row_bufsize
 from .layout import FloatTensor, Layout, signed_ones
 
 __all__ = [
@@ -42,9 +44,11 @@ def _oihw(weights: FloatTensor) -> np.ndarray:
     )
 
 
-# Output positions per conv accumulator tile: numpy's broadcast multiply is
-# about 4x slower per element on shorter rows, and at 64 filters the tile and
-# its product buffer (1 MB each) stay in a 4 MB L2.
+# Output positions per conv accumulator tile: at 64 filters the tile and its
+# product buffer (1 MB each) stay in a 4 MB L2.  Shorter tiles cost no more
+# per element only while the ufunc buffer is sized from them: at numpy's
+# default size, broadcast operands of rows under about 2730 elements are
+# copied through the buffer, at 2-4x the cost (``kernels._row_bufsize``).
 _TILE_POSITIONS = 4096
 
 
@@ -63,9 +67,12 @@ def _ordered_conv(
     loop with the same nesting.
 
     Whole output rows are taken about ``_TILE_POSITIONS`` positions at a
-    time into a (filters, positions) accumulator; each tap gathers its input
-    plane into a contiguous buffer, multiplies it by the tap's weight column
-    and adds the products into the tile.
+    time into a contiguous accumulator tile; each tap gathers its input
+    plane into a contiguous buffer, multiplies it by the tap's weights and
+    adds the products into the tile.  The tile is (positions, filters) when
+    filters outnumber a tile's positions, else (filters, positions), and the
+    loop runs under a ufunc buffer sized from the shortest inner axis, so no
+    multiply or add is buffered.
     """
     n, h, wd, c = x.shape
     m, wc, kh, kw = w.shape
@@ -81,26 +88,35 @@ def _ordered_conv(
         init += np.asarray(bias, dtype=np.float32)
     out = np.empty((n, outh, outw, m), dtype=np.float32)
     rows = max(1, min(outh, _TILE_POSITIONS // outw))
-    acc_buf = np.empty((m, rows * outw), dtype=np.float32)
+    # one row of m weights per tap, taps in accumulation order
+    taps = np.ascontiguousarray(np.transpose(w, (1, 3, 2, 0))).reshape(c * kw * kh, m)
+    wide = m > rows * outw  # filters on the tile's inner axis
+    if not wide:
+        taps, init = taps[:, :, None], init[:, None]
+    inner = m if wide else ((outh - 1) % rows + 1) * outw  # the last tile is the shortest
+    acc_buf = np.empty(m * rows * outw, dtype=np.float32)
     prod_buf = np.empty_like(acc_buf)
     plane_buf = np.empty(rows * outw, dtype=np.float32)
-    for img in range(n):
-        for y0 in range(0, outh, rows):
-            r = min(rows, outh - y0)
-            acc, prod = acc_buf[:, : r * outw], prod_buf[:, : r * outw]
-            plane = plane_buf[: r * outw]
-            acc[...] = init[:, None]
-            for ci in range(c):
-                for kx in range(kw):
-                    for ky in range(kh):
-                        y = ky + sh * y0
-                        np.copyto(
-                            plane.reshape(r, outw),
-                            padded[img, ci, y : y + sh * r : sh, kx : kx + sw * outw : sw],
-                        )
-                        np.multiply(plane, w[:, ci, ky, kx, None], out=prod)
-                        np.add(acc, prod, out=acc)
-            out[img, y0 : y0 + r] = acc.T.reshape(r, outw, m)
+    with np.errstate():
+        np.setbufsize(_row_bufsize(inner))
+        for img in range(n):
+            for y0 in range(0, outh, rows):
+                r = min(rows, outh - y0)
+                shape = (r * outw, m) if wide else (m, r * outw)
+                acc = acc_buf[: m * r * outw].reshape(shape)
+                prod = prod_buf[: m * r * outw].reshape(shape)
+                plane = plane_buf[: r * outw]
+                acc[...] = init
+                factor = plane[:, None] if wide else plane
+                for (ci, kx, ky), tap in zip(product(range(c), range(kw), range(kh)), taps):
+                    y = ky + sh * y0
+                    np.copyto(
+                        plane.reshape(r, outw),
+                        padded[img, ci, y : y + sh * r : sh, kx : kx + sw * outw : sw],
+                    )
+                    np.multiply(factor, tap, out=prod)
+                    np.add(acc, prod, out=acc)
+                out[img, y0 : y0 + r] = (acc if wide else acc.T).reshape(r, outw, m)
     return out
 
 

@@ -38,6 +38,24 @@ __all__ = [
 # in a 16-bit accumulator, and 8 * 8191 = 65528 bits < 2**16.
 MAX_GROUPS_PER_DOT = (2**16 - 1) // 8
 
+# numpy's largest ufunc buffer, in elements
+_MAX_BUFSIZE = 10_000_000
+
+
+def _row_bufsize(inner: int) -> int:
+    """A ufunc buffer size, in elements, under which no step of a conv loop
+    whose rows hold at least ``inner`` elements is buffered.
+
+    numpy copies the operands of a broadcast call such as ``col[:, None] ^ row``
+    through its ufunc buffer (8192 elements by default) whenever the inner
+    axis holds fewer than about a third of the buffer, which costs 2-4x per
+    element.  Twice the row, rounded up to numpy's multiple of 16, is short
+    enough to skip that copy (for rows of 6 or more) and still gives an op
+    that must buffer, such as a casting add, chunks of two rows.  The loops
+    are elementwise, so the buffer size never changes a result.
+    """
+    return min(-(-2 * inner // 16) * 16, _MAX_BUFSIZE)
+
 
 @dataclass(frozen=True, eq=False)
 class BinMatrix:
@@ -210,9 +228,12 @@ def binary_direct_conv(
     it.  The image is gathered once into word planes, one contiguous row of
     out_h * out_w words per (kernel tap, channel group, word) that holds a
     real channel; each step xors one weight word of all M filters against
-    one plane and adds the popcounts into a (M, out_h * out_w) uint16
-    mismatch accumulator, read once, transposed, into the output as
-    kh*kw*c - 2 * mismatches.  A dot product may span at most
+    one plane and adds the popcounts into a uint16 mismatch accumulator,
+    read once into the output as kh*kw*c - 2 * mismatches.  The accumulator
+    puts the longer of filters and positions on its inner axis, (positions,
+    M) when M > out_h * out_w, else (M, positions), and the loop runs under
+    a ufunc buffer sized from that axis, so no xor or popcount is buffered.
+    A dot product may span at most
     ``MAX_GROUPS_PER_DOT`` bytes, else ``OverflowError``.  Skipped words
     hold only pad bits, which are 0 in both operands (``PackedWeight``
     checks weights, ``pack_to_nc1hwc2`` writes zeros), so never mismatch.
@@ -234,23 +255,31 @@ def binary_direct_conv(
     live = group_count(p.channels, word_bits)  # the leading slots, with a real channel
     n, _, h, w = input.dims
     m, npos = weights.rows, outh * outw
-    wcols = weights.data.view(word).reshape(m, kh * kw, slots)[:, :, :live].reshape(m, -1).T
-    mismatch = np.empty((m, npos), dtype=word)
-    bits = np.empty((m, npos), dtype=np.uint8)
+    wcols = weights.data.view(word).reshape(m, kh * kw, slots)[:, :, :live].reshape(m, -1)
+    wcols = np.ascontiguousarray(wcols.T)  # one row of M words per step
+    wide = m > npos  # filters on the accumulator's inner axis
+    if wide:
+        shape, plane_shape = (npos, m), (-1, npos, 1)
+    else:
+        shape, plane_shape, wcols = (m, npos), (-1, npos), wcols[:, :, None]
+    mismatch = np.empty(shape, dtype=word)
+    bits = np.empty(shape, dtype=np.uint8)
     out = np.empty((n, npos, m), dtype=np.float32)
-    for img in range(n):
-        image = np.zeros((live, h + 2 * ph, w + 2 * pw), dtype=word)
-        words = input.data[img].view(word).transpose(0, 3, 1, 2)
-        image[:, ph : ph + h, pw : pw + w] = words.reshape(-1, h, w)[:live]
-        planes = np.empty((kh, kw, live, outh, outw), dtype=word)
-        for ky in range(kh):
-            for kx in range(kw):
-                planes[ky, kx] = image[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
-        acc = np.zeros((m, npos), dtype=np.uint16)
-        for plane, wcol in zip(planes.reshape(-1, npos), wcols):
-            np.bitwise_xor(wcol[:, None], plane, out=mismatch)
-            np.bitwise_count(mismatch, out=bits)
-            acc += bits
-        np.multiply(acc.T, np.float32(-2), out=out[img])
-        out[img] += np.float32(kh * kw * p.channels)  # a dot of 0 is +0.0
+    with np.errstate():
+        np.setbufsize(_row_bufsize(max(m, npos)))
+        for img in range(n):
+            image = np.zeros((live, h + 2 * ph, w + 2 * pw), dtype=word)
+            words = input.data[img].view(word).transpose(0, 3, 1, 2)
+            image[:, ph : ph + h, pw : pw + w] = words.reshape(-1, h, w)[:live]
+            planes = np.empty((kh, kw, live, outh, outw), dtype=word)
+            for ky in range(kh):
+                for kx in range(kw):
+                    planes[ky, kx] = image[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
+            acc = np.zeros(shape, dtype=np.uint16)
+            for plane, wcol in zip(planes.reshape(plane_shape), wcols):
+                np.bitwise_xor(wcol, plane, out=mismatch)
+                np.bitwise_count(mismatch, out=bits)
+                acc += bits
+            np.multiply(acc if wide else acc.T, np.float32(-2), out=out[img])
+            out[img] += np.float32(kh * kw * p.channels)  # a dot of 0 is +0.0
     return FloatTensor.from_array(out.reshape(n, outh, outw, m), Layout.NHWC)

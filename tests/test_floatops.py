@@ -135,6 +135,16 @@ class TestConv2d:
         assert outh % (tile // outw) and outh > tile // outw
         assert CONV_GEOMETRIES["row_wider_than_tile"][0][2] > tile
 
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("m", [4, 10, 13])  # below, equal to and above a tile's positions
+    def test_filters_against_tile_positions(self, kernel, m, rng, monkeypatch):
+        # tiles of 2 rows of 5 positions, and a ragged last tile of 1 row
+        monkeypatch.setattr(floatops, "_TILE_POSITIONS", 12)
+        xs, ws, pad = (2, 7, 5, 3), (m, 3, kernel, kernel), kernel // 2
+        rows = floatops._TILE_POSITIONS // xs[2]
+        assert rows * xs[2] == 10 and xs[1] % rows
+        check_conv_bytes(*conv_operands(rng, xs, ws), (1, 1), (pad, pad))
+
     def test_starts_from_zero_plus_bias(self, rng):
         # every product is -0.0: from 0 + (-0.0) = +0.0 each sum stays +0.0,
         # where starting from the bias or the first product would give -0.0

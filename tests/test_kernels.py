@@ -335,6 +335,33 @@ class TestDirectConv:
             zero_dots += int(np.count_nonzero(dots == 0))
         assert zero_dots > 0  # so a -0.0 for a zero dot would have shown
 
+    # (filters, channels, c2, input hw, stride, padding): positions are out_h * out_w
+    ORIENTATIONS = {
+        "filters_below_positions": (9, 130, 128, 4, 1, 1),  # 9 < 16
+        "filters_equal_positions": (16, 20, 16, 4, 1, 1),  # 16 == 16
+        "filters_above_positions": (24, 40, 32, 4, 1, 1),  # 24 > 16
+        "stride_2_filters_above": (40, 72, 64, 7, 2, 1),  # 40 > 16
+        "bireal_last_stage": (512, 512, 128, 7, 1, 1),  # 512 > 49
+    }
+
+    @pytest.mark.parametrize("case", list(ORIENTATIONS))
+    def test_either_accumulator_orientation_against_oracles(self, case, rng):
+        m, c, c2, hw, s, pad = self.ORIENTATIONS[case]
+        x = rng.standard_normal((2, hw, hw, c)).astype(np.float32)
+        wv = rng.choice(np.array([-1.0, 1.0], np.float32), size=(m, c, 3, 3))
+        params = ConvParams((3, 3), c, stride=(s, s), padding=(pad, pad))
+        packed, w = packed_from_values(x, c2), _weight_matrix(wv, c2)
+        got = binary_direct_conv(packed, w, params)
+        want = oracle_binary_conv(
+            FloatTensor.from_array(x, Layout.NHWC), FloatTensor.from_array(wv, Layout.NCHW), params
+        )
+        assert got.nhwc_array().tobytes() == want.nhwc_array().tobytes()
+        for img in range(2):
+            one = packed_from_values(x[img : img + 1], c2)
+            dots = match_to_dot(bgemm(w, im2col_packed(one, params)), params, c2)
+            want = dots.T.astype(np.float32).reshape(got.nhwc_array()[img].shape)
+            assert got.nhwc_array()[img].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", [0, 2])
     def test_counts_shape_and_dtype(self, n, rng):
         x = rng.standard_normal((n, 5, 4, 20)).astype(np.float32)

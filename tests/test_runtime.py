@@ -159,6 +159,27 @@ class TestExecute:
         assert execute(model, x).data.tobytes() == execute(model, x).data.tobytes()
 
 
+class TestUfuncState:
+    """The conv loops size numpy's ufunc buffer in an errstate scope of their own."""
+
+    def test_caller_state_survives_execute_and_a_raising_conv(self):
+        model = build_birealnet18(np.random.default_rng(3), input_hw=32)
+        x = input_tensor(np.random.default_rng(4).standard_normal((1, 32, 32, 3)))
+        huge = input_tensor(np.full((1, 3, 3, 2), 3e38))
+        tens = FloatTensor.from_array(np.full((4, 2, 3, 3), 10.0, np.float32), Layout.NCHW)
+        with np.errstate(divide="ignore"):
+            np.setbufsize(4096)  # a caller's own, non-default state
+            state = (np.getbufsize(), np.geterr())
+            execute(model, x)
+            assert (np.getbufsize(), np.geterr()) == state
+            with np.errstate(over="raise"):
+                raising = (np.getbufsize(), np.geterr())
+                with pytest.raises(FloatingPointError):
+                    floatops.conv2d_f32(huge, tens)
+                assert (np.getbufsize(), np.geterr()) == raising
+            assert (np.getbufsize(), np.geterr()) == state
+
+
 class TestThresholdSign:
     def test_boundary_at_zero_behaves_like_sign(self):
         zero_key = float_order_key(np.float32(0.0)).reshape(1)
