@@ -52,7 +52,10 @@ def _row_bufsize(inner: int) -> int:
     element.  Twice the row, rounded up to numpy's multiple of 16, is short
     enough to skip that copy (for rows of 6 or more) and still gives an op
     that must buffer, such as a casting add, chunks of two rows.  The loops
-    are elementwise, so the buffer size never changes a result.
+    are elementwise, so the buffer size changes no value.  It can change the
+    bits of a float NaN where two NaNs of different bits meet: numpy keeps
+    the first operand's bits in its SIMD blocks and the second's in its
+    remainder loop, and the buffer's chunks move where that split falls.
     """
     return min(-(-2 * inner // 16) * 16, _MAX_BUFSIZE)
 
