@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import tracemalloc
 
@@ -324,6 +325,30 @@ class TestBiRealNet:
         first = execute(model, x)
         assert first.dims == (1, 1000, 1, 1)
         assert execute(model, x).data.tobytes() == first.data.tobytes()
+
+    # (seed, input_hw) -> sha256 of serialize_model bytes, of the output on
+    # default_rng(7).standard_normal((1, hw, hw, 3)) as an NHWC input
+    DIGESTS = {
+        (42, 224): (
+            "a03533fc27ccf86f0582c66e3822b50a156056224184f24fcab6613b37ef369a",
+            "2ee4dd540877a2fd2bc7d50ebcfb91ddc147ad1d2a7f55ebb79599277bea728b",
+        ),
+        (1, 32): (
+            "f572ebc56f14db693c53b9f5cd6b5df56ab2d31dc542ba6d7c0d85e48e5dd7e1",
+            "4f82900e49c8c35360d1552c990f53d523714be26bcefd6f5bed6595f6994712",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed,hw", sorted(DIGESTS))
+    def test_pinned_bytes(self, seed, hw):
+        model = build_birealnet18(np.random.default_rng(seed), input_hw=hw)
+        x = np.random.default_rng(7).standard_normal((1, hw, hw, 3)).astype(np.float32)
+        out = execute(model, input_tensor(x))
+        digests = (
+            hashlib.sha256(serialize_model(model)).hexdigest(),
+            hashlib.sha256(out.data.tobytes()).hexdigest(),
+        )
+        assert digests == self.DIGESTS[seed, hw]
 
 
 def ones(*shape):
