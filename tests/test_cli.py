@@ -1,13 +1,17 @@
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
 import zlib
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnnkit.cli
 import bnnkit.runtime
@@ -223,6 +227,46 @@ class TestRunCommand:
 
     def test_missing_model_exit_2(self, tmp_path):
         assert main(["run", str(tmp_path / "no.dabn"), str(tmp_path / "no.bin")]) == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tensor_fuzz")
+    (root / "g.json").write_text(tiny_doc())
+    assert main(["convert", str(root / "g.json"), str(root / "m.dabn")]) == 0
+    write_tensor(root / "x0.bin", input_tensor())
+    return root
+
+
+class TestTensorFileFuzz:
+    """Byte edits, mostly of the 16-byte header, and truncations of an input
+    tensor file.  ``bnnkit run`` returns 0, 1 or 2, lets no exception out,
+    and a nonzero code comes with exactly one ``error:`` line."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(data=st.data())
+    def test_run_exits_cleanly(self, fuzz_dir, data):
+        raw = bytearray((fuzz_dir / "x0.bin").read_bytes())
+        if data.draw(st.booleans()):
+            # well-formed extents; those of 48 elements read and reach execute
+            product_48 = st.sampled_from([[1, 3, 4, 4], [1, 1, 6, 8], [2, 3, 2, 4]])
+            small = st.lists(st.integers(0, 5), min_size=4, max_size=4)
+            raw[:16] = struct.pack("<4I", *data.draw(product_48.flatmap(st.permutations) | small))
+        edit = st.tuples(st.integers(0, 15) | st.integers(0, len(raw) - 1), st.integers(0, 255))
+        for pos, value in data.draw(st.lists(edit, max_size=4)):
+            raw[pos] = value
+        raw = raw[: data.draw(st.none() | st.integers(0, len(raw) - 1))]
+        (fuzz_dir / "x.bin").write_bytes(raw)
+        model, x, y = (str(fuzz_dir / name) for name in ("m.dabn", "x.bin", "y.bin"))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(["run", model, x, "-o", y])
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestBenchCommand:

@@ -1107,3 +1107,58 @@ class TestHostileFields:
     def test_missing_name_gets_default(self, name):
         g = parse_interchange(hostile(("nodes", 6, "name"), name))
         assert g.nodes[6].name == "Relu_6"
+
+
+def field_paths(value, path=()):
+    """Paths of a JSON tree's values, the root included; a "values" number
+    list stands for itself and its first element."""
+    paths = [path]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:1] if path and path[-1] == "values" else value)
+    else:
+        items = ()
+    for key, child in items:
+        paths += field_paths(child, path + (key,))
+    return paths
+
+
+class TestStructureFuzz:
+    """1-3 fields of a random document set to a value of the wrong type or
+    range.  Every document converts, with and without fusion, or raises
+    ConversionError."""
+
+    @settings(max_examples=200, derandomize=True)
+    @given(data=st.data())
+    def test_converts_or_raises_conversion_error(self, data):
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        doc = json.loads(refeval.random_interchange_doc(np.random.default_rng(seed)))
+        names = [node["name"] for node in doc["nodes"]]
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(field_paths(doc)))
+            parent, current = None, doc
+            for key in path:
+                parent, current = current, current[key]
+            if isinstance(current, list):
+                wrong_length = [current[:-1], current + current[:1]]
+            else:
+                wrong_length = [[current, current]]
+            value = data.draw(
+                st.sampled_from([None, "", [], {}, True, 2**40, 1e300])
+                | st.sampled_from(wrong_length)
+                | st.sampled_from(names)
+            )
+            if parent is None:
+                doc = value
+            else:
+                parent[path[-1]] = value
+        try:
+            g = parse_interchange(json.dumps(doc))
+        except ConversionError:
+            return
+        for fused in (False, True):
+            try:
+                convert_model(g, ConvertOptions(fuse_bn_sign=fused))
+            except ConversionError:
+                pass

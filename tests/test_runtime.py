@@ -10,11 +10,11 @@ import pytest
 import refeval
 from bnnkit import floatops, runtime
 from bnnkit.cli import main
-from bnnkit.convert import pack_conv_weight
+from bnnkit.convert import ConvertOptions, convert_model, detect_binary_convs, pack_conv_weight
 from bnnkit.kernels import ConvParams
 from bnnkit.layout import FloatTensor, Layout
 from bnnkit.modelfile import ModelFormatError, deserialize_model, serialize_model
-from bnnkit.nets import build_birealnet18
+from bnnkit.nets import birealnet18_graph, build_birealnet18
 from bnnkit.runtime import (
     _OPS,
     Graph,
@@ -349,6 +349,20 @@ class TestBiRealNet:
             hashlib.sha256(out.data.tobytes()).hexdigest(),
         )
         assert digests == self.DIGESTS[seed, hw]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_matches_reference_eval(self, seed):
+        graph = birealnet18_graph(np.random.default_rng(seed), 32)
+        binary = {f"s{s}.b{b}.u{u}.conv" for s in range(4) for b in range(2) for u in range(2)}
+        assert detect_binary_convs(graph) == binary
+        _, report = convert_model(graph, ConvertOptions(c2=128))
+        assert sorted(w.split(":")[0] for w in report.warnings) == sorted(
+            f"conv '{name}'" for name in binary
+        )
+        assert all("+1 padding" in w for w in report.warnings)
+        model = build_birealnet18(np.random.default_rng(seed), input_hw=32)
+        x = refeval.random_input_for(graph, np.random.default_rng(seed))
+        assert execute(model, x) == refeval.reference_eval(graph, x)
 
 
 def ones(*shape):
