@@ -2,7 +2,6 @@
 kernels over a channel-grouped layout, a graph runtime, converters, and a
 benchmark harness."""
 
-from .bitpack import pack_naive
 from .convert import (
     ConversionError,
     ConversionReport,
@@ -18,11 +17,7 @@ from .kernels import (
     BinMatrix,
     ConvParams,
     MAX_GROUPS_PER_DOT,
-    bgemm,
-    bgemm_no_addv,
     binary_direct_conv,
-    im2col_packed,
-    match_to_dot,
 )
 from .layout import (
     FloatTensor,

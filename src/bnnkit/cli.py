@@ -13,6 +13,10 @@ equality before any timing.  Inputs derive from the ``BNN_SEED``
 environment variable (default 0), so runs are reproducible.  CSV schema:
 ``suite,case,variant,median_ns,ratio`` where ratio is the baseline median
 divided by the variant median (higher means faster than baseline).
+The baselines the source paper measures against live here and nowhere else:
+``pack_naive``, a sequential packer, and BMXNet-style im2col + xnor-GEMM
+(``im2col_packed``, ``bgemm``, its timing variant ``bgemm_no_addv``, and
+``match_to_dot``).
 """
 
 from __future__ import annotations
@@ -27,17 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitpack import pack_naive
 from .convert import ConvertOptions, convert_model, pack_conv_weight, parse_interchange
-from .kernels import (
-    ConvParams,
-    bgemm,
-    bgemm_no_addv,
-    binary_direct_conv,
-    im2col_packed,
-    match_to_dot,
-)
-from .layout import FloatTensor, Layout, pack_to_nc1hwc2
+from .kernels import BinMatrix, ConvParams, _conv_geometry, binary_direct_conv
+from .layout import FloatTensor, Layout, PackedTensor, group_count, pack_to_nc1hwc2
 from .modelfile import ModelFormatError, load_model, save_model
 from .nets import build_birealnet18
 from .runtime import GraphError, execute
@@ -128,6 +124,21 @@ def _record_variants(suite, case, variants, repeat) -> list[BenchRecord]:
     return records
 
 
+def pack_naive(values) -> np.ndarray:
+    """Pack one element per step; bit i of the result is the sign bit of values[i].
+
+    Returns ceil(n / 8) uint8 bytes with bit i in byte i // 8 at position
+    i % 8; unused trailing bits of the last byte are 0.  Deliberately
+    sequential: each step takes one float32 bit pattern, extracts its sign
+    and inserts it at the target position.
+    """
+    raw = np.ascontiguousarray(values, dtype=np.float32).reshape(-1).view(np.uint32)
+    out = [0] * ((raw.size + 7) // 8)
+    for i, pattern in enumerate(raw.tolist()):
+        out[i >> 3] |= (pattern >> 31) << (i & 7)
+    return np.array(out, dtype=np.uint8)
+
+
 def _bench_packing(rng, sizes, repeat) -> list[BenchRecord]:
     """Sequential baseline against the runtime packer with one group of c2 = c bits."""
     records = []
@@ -143,6 +154,82 @@ def _bench_packing(rng, sizes, repeat) -> list[BenchRecord]:
         ]
         records.extend(_record_variants("packing", case, variants, repeat))
     return records
+
+
+def _check_pair(a: BinMatrix, b: BinMatrix) -> None:
+    if a.cols != b.rows or a.vec_bits != b.vec_bits:
+        raise ValueError("dimension mismatch")
+
+
+def bgemm(a: BinMatrix, b: BinMatrix) -> np.ndarray:
+    """Binary matrix multiply over packed vectors.
+
+    Entry (i, j) counts the bit positions where row i of ``a`` agrees with
+    column j of ``b``.  The k loop is outermost: each step is a rank-1
+    update from column k of ``a`` and row k of ``b``, and every update
+    reduces its xnor/cnt bytes to a scalar immediately, because the
+    accumulator holds plain 32-bit integers.  Returns (M, N) int32.
+    """
+    _check_pair(a, b)
+    out = np.zeros((a.rows, b.cols), dtype=np.int32)
+    for k in range(a.cols):
+        agree = np.bitwise_not(np.bitwise_xor(a.data[:, k, None, :], b.data[None, k, :, :]))
+        out += np.bitwise_count(agree).sum(axis=2, dtype=np.int32)
+    return out
+
+
+def bgemm_no_addv(a: BinMatrix, b: BinMatrix) -> np.ndarray:
+    """Timing-only variant of ``bgemm`` with the byte-sum reduction removed.
+
+    Keeps the xnor, the per-byte counting and the 32-bit accumulation, but
+    folds in only the first count byte of each update instead of reducing
+    the whole vector.  The numbers are meaningless for inference; this
+    exists solely to expose the reduction's share of the multiply cost.
+    """
+    _check_pair(a, b)
+    out = np.zeros((a.rows, b.cols), dtype=np.int32)
+    for k in range(a.cols):
+        agree = np.bitwise_not(np.bitwise_xor(a.data[:, k, None, :], b.data[None, k, :, :]))
+        out += np.bitwise_count(agree)[:, :, 0]
+    return out
+
+
+def im2col_packed(input: PackedTensor, p: ConvParams) -> BinMatrix:
+    """Unfold a single-image packed tensor into convolution columns.
+
+    Row order is kernel-row major, then kernel column, then channel group;
+    column j is output position j in row-major (out_h, out_w) order.  Taps
+    that fall outside the image contribute all-zero vectors (logical +1
+    padding).
+    """
+    if input.dims[0] != 1:
+        raise ValueError("im2col expects a single-image tensor")
+    outh, outw = _conv_geometry(input, p)
+    (kh, kw), (sh, sw), (ph, pw) = p.kernel, p.stride, p.padding
+    c1, nbytes = input.c1, input.c2 // 8
+    padded = np.pad(input.data[0], ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    cols = np.empty((kh * kw, c1, outh, outw, nbytes), dtype=np.uint8)
+    for ky in range(kh):
+        for kx in range(kw):
+            cols[ky * kw + kx] = padded[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
+    cols = cols.reshape(kh * kw * c1, outh * outw, nbytes)
+    return BinMatrix(kh * kw * c1, outh * outw, input.c2, cols)
+
+
+def match_to_dot(match, p: ConvParams, c2: int):
+    """Convert ``bgemm`` match counts into signed ±1 dot products.
+
+    Each dot product spans kh*kw vectors of c1*c2 bits, of which only c per
+    vector are real channels.  Pad bits are 0 in both operands, so each of
+    the kh*kw*(c1*c2 - c) pad positions inflates the raw count by exactly
+    one match; after subtracting them, dot = matches - mismatches over the
+    kh*kw*c valid positions.  Works on scalars and arrays alike.
+    """
+    kh, kw = p.kernel
+    c1 = group_count(p.channels, c2)
+    pad_positions = kh * kw * (c1 * c2 - p.channels)
+    valid = kh * kw * p.channels
+    return 2 * (match - pad_positions) - valid
 
 
 def _bench_conv(rng, cases, repeat) -> list[BenchRecord]:

@@ -119,8 +119,10 @@ def _attr_ints(node: InterchangeNode, key: str, default, count: int, lo: int = -
     return tuple(value)
 
 
-def _require_attr(node: InterchangeNode, key: str, expected) -> None:
-    value = node.attributes.get(key, expected)
+def _require_attr(node: InterchangeNode, key: str, expected, default=None) -> None:
+    """Reject ``key`` unless it equals ``expected``.  A missing key reads as
+    ``default``, ONNX's default where it differs from ``expected``."""
+    value = node.attributes.get(key, expected if default is None else default)
     items = value if isinstance(value, list) else [value]
     if value != expected or any(isinstance(v, bool) for v in items):
         raise ConversionError(
@@ -129,6 +131,8 @@ def _require_attr(node: InterchangeNode, key: str, expected) -> None:
 
 
 def _window_attrs(node: InterchangeNode, kernel) -> NodeAttrs:
+    _require_attr(node, "auto_pad", "NOTSET")
+    _require_attr(node, "dilations", [1, 1])
     kernel = _attr_ints(node, "kernel_shape", kernel, 2)
     stride = _attr_ints(node, "strides", [1, 1], 2)
     top, left, bottom, right = _attr_ints(node, "pads", [0, 0, 0, 0], 4, lo=0)
@@ -145,7 +149,6 @@ def _no_attrs(node, params) -> NodeAttrs:
 
 def _conv_attrs(node, params) -> NodeAttrs:
     _require_attr(node, "group", 1)
-    _require_attr(node, "dilations", [1, 1])
     w = params[0]
     if w.ndim != 4:
         raise ConversionError(
@@ -158,21 +161,24 @@ def _batch_norm_attrs(node, params) -> NodeAttrs:
     eps = node.attributes.get("epsilon", 1e-5)
     if not (isinstance(eps, float) or _is_int(eps, -_ATTR_LIMIT, _ATTR_LIMIT)):
         raise ConversionError(f"node '{node.name}': bad 'epsilon' attribute")
+    _require_attr(node, "training_mode", 0)
     return NodeAttrs(epsilon=eps)
 
 
 def _pool_attrs(node, params) -> NodeAttrs:
+    _require_attr(node, "ceil_mode", 0)
     return _window_attrs(node, None)
 
 
 def _avg_pool_attrs(node, params) -> NodeAttrs:
     _require_attr(node, "count_include_pad", 0)
-    return _window_attrs(node, None)
+    return _pool_attrs(node, params)
 
 
 def _gemm_attrs(node, params) -> NodeAttrs:
-    for key, expected in (("alpha", 1.0), ("beta", 1.0), ("transA", 0), ("transB", 1)):
+    for key, expected in (("alpha", 1.0), ("beta", 1.0), ("transA", 0)):
         _require_attr(node, key, expected)
+    _require_attr(node, "transB", 1, default=0)
     return NodeAttrs()
 
 

@@ -1,5 +1,5 @@
-"""Binary convolution arithmetic: the word-plane direct convolution, and
-bit-matrix multiplication and packed im2col as benchmark baselines.
+"""Binary convolution arithmetic: the word-plane direct convolution and the
+packed-weight container it reads.
 
 The direct convolution, which inference runs, xors 64-bit (or narrower)
 words of all filters against one contiguous plane of input words per step
@@ -8,10 +8,6 @@ so a dot product may span at most 8 * ``MAX_GROUPS_PER_DOT`` = 65528 bits.
 Words that hold only channel pad bits are skipped, and pad bits are 0 in
 both operands, so pads never reach a count: over the kh*kw*c real bits,
 dot = kh*kw*c - 2 * mismatches.
-
-``bgemm`` (with its timing variant ``bgemm_no_addv``) over ``im2col_packed``
-columns is the baseline: it counts matches, the popcount of the xnor of
-whole groups, pad bits included, and ``match_to_dot`` removes them.
 """
 
 from __future__ import annotations
@@ -27,10 +23,6 @@ __all__ = [
     "BinMatrix",
     "ConvParams",
     "MAX_GROUPS_PER_DOT",
-    "bgemm",
-    "bgemm_no_addv",
-    "im2col_packed",
-    "match_to_dot",
     "binary_direct_conv",
 ]
 
@@ -138,88 +130,12 @@ class ConvParams:
         return outh, outw
 
 
-def _check_pair(a: BinMatrix, b: BinMatrix) -> None:
-    if a.cols != b.rows or a.vec_bits != b.vec_bits:
-        raise ValueError("dimension mismatch")
-
-
-def bgemm(a: BinMatrix, b: BinMatrix) -> np.ndarray:
-    """Binary matrix multiply over packed vectors.
-
-    Entry (i, j) counts the bit positions where row i of ``a`` agrees with
-    column j of ``b``.  The k loop is outermost: each step is a rank-1
-    update from column k of ``a`` and row k of ``b``, and every update
-    reduces its xnor/cnt bytes to a scalar immediately, because the
-    accumulator holds plain 32-bit integers.  Returns (M, N) int32.
-    """
-    _check_pair(a, b)
-    out = np.zeros((a.rows, b.cols), dtype=np.int32)
-    for k in range(a.cols):
-        agree = np.bitwise_not(np.bitwise_xor(a.data[:, k, None, :], b.data[None, k, :, :]))
-        out += np.bitwise_count(agree).sum(axis=2, dtype=np.int32)
-    return out
-
-
-def bgemm_no_addv(a: BinMatrix, b: BinMatrix) -> np.ndarray:
-    """Timing-only variant of ``bgemm`` with the byte-sum reduction removed.
-
-    Keeps the xnor, the per-byte counting and the 32-bit accumulation, but
-    folds in only the first count byte of each update instead of reducing
-    the whole vector.  The numbers are meaningless for inference; this
-    exists solely to expose the reduction's share of the multiply cost.
-    """
-    _check_pair(a, b)
-    out = np.zeros((a.rows, b.cols), dtype=np.int32)
-    for k in range(a.cols):
-        agree = np.bitwise_not(np.bitwise_xor(a.data[:, k, None, :], b.data[None, k, :, :]))
-        out += np.bitwise_count(agree)[:, :, 0]
-    return out
-
-
 def _conv_geometry(input: PackedTensor, p: ConvParams) -> tuple[int, int]:
     if p.channels != input.dims[1]:
         raise ValueError(
             f"channel mismatch: tensor has {input.dims[1]}, params say {p.channels}"
         )
     return p.out_extent(input.dims[2], input.dims[3])
-
-
-def im2col_packed(input: PackedTensor, p: ConvParams) -> BinMatrix:
-    """Unfold a single-image packed tensor into convolution columns.
-
-    Row order is kernel-row major, then kernel column, then channel group;
-    column j is output position j in row-major (out_h, out_w) order.  Taps
-    that fall outside the image contribute all-zero vectors (logical +1
-    padding).
-    """
-    if input.dims[0] != 1:
-        raise ValueError("im2col expects a single-image tensor")
-    outh, outw = _conv_geometry(input, p)
-    (kh, kw), (sh, sw), (ph, pw) = p.kernel, p.stride, p.padding
-    c1, nbytes = input.c1, input.c2 // 8
-    padded = np.pad(input.data[0], ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    cols = np.empty((kh * kw, c1, outh, outw, nbytes), dtype=np.uint8)
-    for ky in range(kh):
-        for kx in range(kw):
-            cols[ky * kw + kx] = padded[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
-    cols = cols.reshape(kh * kw * c1, outh * outw, nbytes)
-    return BinMatrix(kh * kw * c1, outh * outw, input.c2, cols)
-
-
-def match_to_dot(match, p: ConvParams, c2: int):
-    """Convert ``bgemm`` match counts into signed ±1 dot products.
-
-    Each dot product spans kh*kw vectors of c1*c2 bits, of which only c per
-    vector are real channels.  Pad bits are 0 in both operands, so each of
-    the kh*kw*(c1*c2 - c) pad positions inflates the raw count by exactly
-    one match; after subtracting them, dot = matches - mismatches over the
-    kh*kw*c valid positions.  Works on scalars and arrays alike.
-    """
-    kh, kw = p.kernel
-    c1 = group_count(p.channels, c2)
-    pad_positions = kh * kw * (c1 * c2 - p.channels)
-    valid = kh * kw * p.channels
-    return 2 * (match - pad_positions) - valid
 
 
 def binary_direct_conv(

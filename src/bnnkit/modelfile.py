@@ -15,7 +15,8 @@ width for packed weights, then the raw payload.
 Serialization is canonical: saving, loading and saving again reproduces
 the file byte for byte.  Loading raises ``ModelFormatError`` for names that
 are not UTF-8, repeated initializer names, attribute records out of key
-order and nonzero channel pad bits.
+order, float initializers of more dims than numpy can build and nonzero
+channel pad bits.
 """
 
 from __future__ import annotations
@@ -203,7 +204,10 @@ def _read_initializer(r: _Reader) -> tuple[int, Initializer]:
     extents = tuple(r.unpack(f"<{rank}I")) if rank else ()
     if kind == _KIND_FLOAT:
         raw = r.take(math.prod(extents) * 4)
-        return name_idx, np.frombuffer(raw, dtype="<f4").reshape(extents)
+        try:  # the payload fits the extents, so only a rank numpy cannot build fails
+            return name_idx, np.frombuffer(raw, dtype="<f4").reshape(extents)
+        except ValueError as exc:
+            raise ModelFormatError(f"invalid float initializer: {exc}") from exc
     if kind == _KIND_PACKED:
         if rank != 4:
             raise ModelFormatError("packed initializer must have 4 extents")

@@ -19,7 +19,7 @@ import numpy as np
 import conftest
 import refeval
 from refeval import binary_direct_conv_counts, index_nc1hwc2, unpack_from_nc1hwc2
-from bnnkit.bitpack import pack_naive
+from bnnkit.cli import bgemm, im2col_packed, match_to_dot, pack_naive
 from bnnkit.cli import main as cli_main
 from bnnkit.convert import (
     ConvertOptions,
@@ -32,10 +32,7 @@ from bnnkit.floatops import oracle_binary_conv
 from bnnkit.kernels import (
     BinMatrix,
     ConvParams,
-    bgemm,
     binary_direct_conv,
-    im2col_packed,
-    match_to_dot,
 )
 from bnnkit.layout import (
     FloatTensor,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnnkit.bitpack import pack_naive
+from bnnkit.cli import pack_naive
 from bnnkit.layout import (
     FloatTensor,
     Layout,

@@ -564,6 +564,68 @@ class TestConversionRules:
         with pytest.raises(ConversionError, match="transB"):
             convert_model(parse_interchange(doc))
 
+    # op -> (input dims, initializers, attributes) of a document that converts
+    ONE_NODE = {
+        "Conv": ([1, 2, 5, 5], {"w": np.ones((2, 2, 3, 3))}, {"kernel_shape": [3, 3]}),
+        "MaxPool": ([1, 2, 5, 5], {}, {"kernel_shape": [3, 3]}),
+        "AveragePool": ([1, 2, 5, 5], {}, {"kernel_shape": [3, 3]}),
+        "BatchNormalization": ([1, 2, 5, 5], {n: np.ones(2) for n in "gbmv"}, {}),
+        "Gemm": ([1, 2, 1, 1], {"w": [[0, 1], [2, 3]]}, {"transB": 1}),
+    }
+
+    def one_node_doc(self, op, attrs):
+        """The ``ONE_NODE`` document of ``op``; an attribute set to None is removed."""
+        dims, inits, base = self.ONE_NODE[op]
+        merged = {k: v for k, v in {**base, **attrs}.items() if v is not None}
+        return make_doc(
+            inputs=[{"name": "input", "dims": dims}],
+            initializers=[init_entry(n, v) for n, v in inits.items()],
+            nodes=[
+                {
+                    "op": op,
+                    "name": "n",
+                    "inputs": ["input", *inits],
+                    "outputs": ["y"],
+                    "attributes": merged,
+                }
+            ],
+            output="y",
+        )
+
+    @pytest.mark.parametrize(
+        "op,attrs",
+        [
+            ("Conv", {"auto_pad": "NOTSET", "dilations": [1, 1]}),
+            ("MaxPool", {"auto_pad": "NOTSET", "ceil_mode": 0, "dilations": [1, 1]}),
+            ("AveragePool", {"auto_pad": "NOTSET", "ceil_mode": 0, "dilations": [1, 1]}),
+            ("BatchNormalization", {"training_mode": 0}),
+            ("Gemm", {"transB": 1}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "defaults",
+    )
+    def test_onnx_defaults_spelled_out_convert(self, op, attrs):
+        convert_model(parse_interchange(self.one_node_doc(op, attrs)))
+
+    @pytest.mark.parametrize(
+        "op,key,value",
+        [
+            ("Gemm", "transB", None),  # ONNX reads a missing transB as 0
+            ("Conv", "auto_pad", "SAME_UPPER"),
+            ("MaxPool", "auto_pad", "SAME_UPPER"),
+            ("AveragePool", "auto_pad", "VALID"),
+            ("MaxPool", "ceil_mode", 1),
+            ("AveragePool", "ceil_mode", 1),
+            ("MaxPool", "dilations", [2, 2]),
+            ("AveragePool", "dilations", [1, 2]),
+            ("BatchNormalization", "training_mode", 1),
+        ],
+        ids=str,
+    )
+    def test_attributes_that_change_the_answer(self, op, key, value):
+        doc = self.one_node_doc(op, {key: value})
+        with pytest.raises(ConversionError, match=f"node 'n': unsupported '{key}'"):
+            convert_model(parse_interchange(doc))
+
     def test_unsupported_flatten_axis(self):
         doc = make_doc(
             inputs=[{"name": "input", "dims": [1, 3, 2, 2]}],

@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 
 import refeval
 from refeval import binary_direct_conv_counts
+from bnnkit.cli import bgemm, bgemm_no_addv, im2col_packed, match_to_dot
 from bnnkit.floatops import oracle_binary_conv
 from bnnkit.kernels import (
     MAX_GROUPS_PER_DOT,
     BinMatrix,
     ConvParams,
-    bgemm,
-    bgemm_no_addv,
     binary_direct_conv,
-    im2col_packed,
-    match_to_dot,
 )
 from bnnkit.layout import (
     FloatTensor,

@@ -1,4 +1,5 @@
 import functools
+import math
 import struct
 import zlib
 
@@ -332,6 +333,30 @@ class TestHostileFiles:
         assert "bad model file" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    def test_float_initializer_rank_above_64(self, tmp_path, capsys):
+        graph = Graph(
+            nodes=(Node(OpKind.SIGN, "s", ("input",), "out"),),
+            inputs=(GraphInput("input", (1, 1, 2, 2)),),
+            initializers={"a": np.zeros(2, np.float32)},
+            output="out",
+        )
+        raw = serialize_model(PackedModel(graph))
+        (graph_len,) = struct.unpack_from("<I", raw, 8)
+        (name_idx,) = struct.unpack_from("<I", raw, 20 + graph_len + 4)
+        # an empty payload: numpy cannot build an array of more than 64 dims
+        weights = struct.pack("<IIBB65I", 1, name_idx, 0, 65, *[0] * 65)
+        header = struct.pack("<4sIIQ", b"DABN", 1, graph_len, len(weights))
+        raw = reseal(header + raw[20 : 20 + graph_len] + weights + bytes(4))
+        with pytest.raises(ModelFormatError, match="invalid float initializer"):
+            deserialize_model(raw)
+        model, x = tmp_path / "m.dabn", tmp_path / "x.bin"
+        model.write_bytes(raw)
+        write_tensor(x, FloatTensor.from_array(np.zeros((1, 2, 2, 1), np.float32)))
+        assert main(["run", str(model), str(x)]) == 1
+        captured = capsys.readouterr()
+        assert "bad model file: invalid float initializer" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize(
         "records",
         [[(1, (1, 1)), (0, (2, 2))], [(0, (2, 2)), (0, (2, 2))]],
@@ -378,8 +403,44 @@ def bireal32_bytes() -> bytes:
     return serialize_model(model)
 
 
+@functools.lru_cache(maxsize=1)
+def bireal32_weight_records() -> tuple[list[int], list[tuple[int, int]]]:
+    """Offsets of every initializer record header byte (name index, kind,
+    rank, extents, ``c2``) and the [start, end) of every payload."""
+    raw = bireal32_bytes()
+    (graph_len,) = struct.unpack_from("<I", raw, 8)
+    (count,) = struct.unpack_from("<I", raw, 20 + graph_len)
+    pos = 20 + graph_len + 4
+    headers, payloads = [], []
+    for _ in range(count):
+        kind, rank = raw[pos + 4], raw[pos + 5]
+        extents = struct.unpack_from(f"<{rank}I", raw, pos + 6)
+        head = 6 + 4 * rank
+        if kind == 1:  # packed: c2 follows the extents
+            m, c, kh, kw = extents
+            (c2,) = struct.unpack_from("<I", raw, pos + head)
+            head += 4
+            size = m * kh * kw * -(-c // c2) * c2 // 8
+        else:
+            size = 4 * math.prod(extents)
+        headers.extend(range(pos, pos + head))
+        payloads.append((pos + head, pos + head + size))
+        pos += head + size
+    assert pos == len(raw) - 4
+    return headers, payloads
+
+
+def assert_loads_canonically_or_fails_cleanly(raw) -> None:
+    try:
+        model = deserialize_model(reseal(raw))
+    except ModelFormatError:
+        return
+    saved = serialize_model(model)
+    assert serialize_model(deserialize_model(saved)) == saved
+
+
 class TestMutationFuzz:
-    """Random byte edits of the header and graph section, with the CRC resealed.
+    """Random byte edits of a Bi-Real-Net-18 file, with the CRC resealed.
 
     Every mutated file either fails with ModelFormatError or loads into a
     model whose saved bytes reload to the same bytes.  Mutated models are
@@ -394,9 +455,18 @@ class TestMutationFuzz:
         byte_edit = st.tuples(st.integers(0, 20 + graph_len - 1), st.integers(0, 255))
         for pos, value in data.draw(st.lists(byte_edit, min_size=1, max_size=4)):
             raw[pos] = value
-        try:
-            model = deserialize_model(reseal(raw))
-        except ModelFormatError:
-            return
-        saved = serialize_model(model)
-        assert serialize_model(deserialize_model(saved)) == saved
+        assert_loads_canonically_or_fails_cleanly(raw)
+
+    @settings(max_examples=200, derandomize=True)
+    @given(data=st.data())
+    def test_weight_section_edits(self, data):
+        headers, payloads = bireal32_weight_records()
+        raw = bytearray(bireal32_bytes())
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.integers(0, 4)):  # four edits in five hit a record header
+                pos = data.draw(st.sampled_from(headers))
+            else:
+                start, end = data.draw(st.sampled_from(payloads))
+                pos = data.draw(st.integers(start, end - 1))
+            raw[pos] = data.draw(st.integers(0, 255))
+        assert_loads_canonically_or_fails_cleanly(raw)
