@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field
 from json.scanner import NUMBER_RE
 
 import numpy as np
@@ -71,7 +72,7 @@ class InterchangeNode:
     attributes: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterchangeGraph:
     inputs: tuple[tuple[str, tuple[int, ...]], ...]
     initializers: dict[str, np.ndarray]
@@ -106,6 +107,24 @@ def _as_dims(value, where: str) -> tuple[int, ...]:
             f"{where}: dims must be non-negative integers below {_DIM_LIMIT}"
         )
     return tuple(value)
+
+
+def _objects(doc: dict, key: str, required: bool = True) -> Iterator[tuple[int, str, dict]]:
+    """Each item of the list ``doc[key]`` with its index and JSON path; a
+    missing optional key reads as an empty list."""
+    items = _require(doc, key, "$") if required else doc.get(key, [])
+    if not isinstance(items, list):
+        raise ConversionError(f"$.{key}: expected a list")
+    for i, item in enumerate(items):
+        where = f"$.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise ConversionError(f"{where}: expected an object")
+        yield i, where, item
+
+
+def _name_and_dims(item: dict, where: str) -> tuple[str, tuple[int, ...]]:
+    name = _as_name(_require(item, "name", where), f"{where}.name")
+    return name, _as_dims(_require(item, "dims", where), f"{where}.dims")
 
 
 def _attr_ints(node: InterchangeNode, key: str, default, count: int, lo: int = -_ATTR_LIMIT):
@@ -413,28 +432,11 @@ def parse_interchange(text: str) -> InterchangeGraph:
     if not isinstance(doc, dict):
         raise ConversionError("$: document must be an object")
 
-    inputs = []
-    raw_inputs = _require(doc, "inputs", "$")
-    if not isinstance(raw_inputs, list):
-        raise ConversionError("$.inputs: expected a list")
-    for i, item in enumerate(raw_inputs):
-        where = f"$.inputs[{i}]"
-        if not isinstance(item, dict):
-            raise ConversionError(f"{where}: expected an object")
-        name = _as_name(_require(item, "name", where), f"{where}.name")
-        dims = _as_dims(_require(item, "dims", where), f"{where}.dims")
-        inputs.append((name, dims))
+    inputs = [_name_and_dims(item, where) for _, where, item in _objects(doc, "inputs")]
 
     initializers: dict[str, np.ndarray] = {}
-    raw_inits = doc.get("initializers", [])
-    if not isinstance(raw_inits, list):
-        raise ConversionError("$.initializers: expected a list")
-    for i, item in enumerate(raw_inits):
-        where = f"$.initializers[{i}]"
-        if not isinstance(item, dict):
-            raise ConversionError(f"{where}: expected an object")
-        name = _as_name(_require(item, "name", where), f"{where}.name")
-        dims = _as_dims(_require(item, "dims", where), f"{where}.dims")
+    for _, where, item in _objects(doc, "initializers", required=False):
+        name, dims = _name_and_dims(item, where)
         values = _require(item, "values", where)
         if not isinstance(values, (list, np.ndarray)):
             raise ConversionError(f"{where}.values: expected a list")
@@ -460,13 +462,7 @@ def parse_interchange(text: str) -> InterchangeGraph:
 
     nodes = []
     node_names: set[str] = set()
-    raw_nodes = _require(doc, "nodes", "$")
-    if not isinstance(raw_nodes, list):
-        raise ConversionError("$.nodes: expected a list")
-    for i, item in enumerate(raw_nodes):
-        where = f"$.nodes[{i}]"
-        if not isinstance(item, dict):
-            raise ConversionError(f"{where}: expected an object")
+    for i, where, item in _objects(doc, "nodes"):
         op = _as_name(_require(item, "op", where), f"{where}.op")
         name = item.get("name")
         name = f"{op}_{i}" if name in (None, "") else _as_name(name, f"{where}.name")
@@ -568,14 +564,7 @@ class ConversionReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "initializers": self.initializers,
-                "ratio": self.ratio,
-                "warnings": self.warnings,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _key_to_float(keys: np.ndarray) -> np.ndarray:
@@ -736,19 +725,12 @@ def convert_model(
         nodes.append(Node(kind, name, inputs, output, attrs, weights))
 
     rows = []
-    before_total = after_total = 0
-    for name, arr in g.initializers.items():
-        before = arr.size * 4
+    for name in {**g.initializers, **inits}:
+        before = g.initializers[name].size * 4 if name in g.initializers else 0
         after = _payload_bytes(inits[name]) if name in inits else 0
         rows.append({"name": name, "bytes_before": before, "bytes_after": after})
-        before_total += before
-        after_total += after
-    for name in inits:
-        if name not in g.initializers:
-            after = _payload_bytes(inits[name])
-            rows.append({"name": name, "bytes_before": 0, "bytes_after": after})
-            after_total += after
-
+    before_total = sum(row["bytes_before"] for row in rows)
+    after_total = sum(row["bytes_after"] for row in rows)
     ratio = (before_total / after_total) if after_total else 1.0
     report = ConversionReport(rows, float(ratio), warnings + fusion_warnings)
 

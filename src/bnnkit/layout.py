@@ -170,13 +170,9 @@ def pack_to_nc1hwc2(t: FloatTensor, c2: int = 128) -> PackedTensor:
     c2 = check_group_bits(c2)
     n, c, h, w = t.dims
     c1 = group_count(c, c2)
-    if 0 in (n, c, h, w):
-        return PackedTensor(t.dims, c2, np.zeros((n, c1, h, w, c2 // 8), np.uint8))
-    nhwc = np.ascontiguousarray(t.nhwc_array())
-    sign = (nhwc.view(np.uint32) >> np.uint32(31)).astype(np.uint8)
-    if c1 * c2 != c:
-        pad = np.zeros((n, h, w, c1 * c2 - c), np.uint8)
-        sign = np.concatenate([sign, pad], axis=-1)
+    sign = np.zeros((n, h, w, c1 * c2), bool)  # pad channels stay 0
+    # not ``out=``: numpy 2.4 writes wrong signs into a non-contiguous bool out
+    sign[..., :c] = np.signbit(t.nhwc_array())
     grouped = sign.reshape(n, h, w, c1, c2).transpose(0, 3, 1, 2, 4)
     return PackedTensor(t.dims, c2, np.packbits(grouped, axis=-1, bitorder="little"))
 

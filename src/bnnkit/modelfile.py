@@ -12,11 +12,13 @@ order (length-prefixed UTF-8).  The weight section holds one record per
 initializer: name index, kind (0 float / 1 packed), extents, the group
 width for packed weights, then the raw payload.
 
-Serialization is canonical: saving, loading and saving again reproduces
-the file byte for byte.  Loading raises ``ModelFormatError`` for names that
-are not UTF-8, repeated initializer names, attribute records out of key
-order, float initializers of more dims than numpy can build and nonzero
-channel pad bits.
+Serialization is canonical, and loading accepts only that encoding: every
+file that loads saves back to the same bytes.  Loading raises
+``ModelFormatError`` for names that are not UTF-8, a string table that does
+not hold each name once in first-use order, repeated initializer names,
+initializer records out of ``_initializer_order``, attribute records out of
+key order or that do not re-pack to their bytes, float initializers of more
+dims than numpy can build and nonzero channel pad bits.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ class _Reader:
 def _read_attrs(r: _Reader) -> NodeAttrs:
     fields: dict = {}
     last = -1
-    for _ in range(r.u8()):
+    records = bytearray([r.u8()])
+    for _ in range(records[0]):
         key = r.u8()
         if key not in _ATTRS:
             raise ModelFormatError(f"unknown attribute key {key}")
@@ -192,9 +195,15 @@ def _read_attrs(r: _Reader) -> NodeAttrs:
             raise ModelFormatError(f"attribute key {key} out of order or repeated")
         last = key
         field, fmt = _ATTRS[key]
-        values = r.unpack(fmt)
+        payload = r.take(struct.calcsize(fmt))
+        records += bytes([key]) + payload
+        values = struct.unpack(fmt, payload)
         fields[field] = values if len(values) > 1 else values[0]
-    return NodeAttrs(**fields)
+    attrs = NodeAttrs(**fields)
+    # NodeAttrs rounds epsilon through float32, which quiets a signalling NaN
+    if _pack_attrs(attrs) != records:
+        raise ModelFormatError("attribute record does not re-pack to its bytes")
+    return attrs
 
 
 def _read_initializer(r: _Reader) -> tuple[int, Initializer]:
@@ -301,6 +310,13 @@ def deserialize_model(data: bytes) -> PackedModel:
         graph = Graph(nodes, inputs, initializers, name(output_idx))
     except (GraphError, ValueError) as exc:
         raise ModelFormatError(f"invalid graph: {exc}") from exc
+    # ``serialize_model`` lists each name once, in first-use order
+    used = [s for n in nodes for s in (n.name, *n.inputs, n.output, *n.weights)]
+    used += [gi.name for gi in inputs] + [graph.output, *initializers]
+    if list(dict.fromkeys(used)) != strings:
+        raise ModelFormatError("string table is not each name once in first-use order")
+    if list(initializers) != _initializer_order(graph):
+        raise ModelFormatError("initializer records out of order")
     return PackedModel(graph)
 
 

@@ -131,7 +131,7 @@ class GraphInput:
             raise ValueError(f"graph input '{self.name}' needs 4 positive extents")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     nodes: tuple[Node, ...]
     inputs: tuple[GraphInput, ...]
@@ -188,7 +188,7 @@ class Graph:
         return Graph, (self.nodes, self.inputs, self.initializers, self.output)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedModel:
     graph: Graph
 

@@ -1,11 +1,16 @@
-"""Every name a package module imports is used there or listed in its ``__all__``."""
+"""Every name a package module imports is used there or listed in its
+``__all__``, every ``__all__`` name is bound, and README's package table
+lists exactly the package's modules."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bnnkit"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -36,3 +41,20 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "import os\nfrom sys import argv, path\n__all__ = ['path']\nprint(argv)\n"
     assert unused_imports(source) == ["line 1: os"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "__main__"], ids=lambda p: p.name
+)
+def test_all_names_are_bound(path):
+    module = importlib.import_module(f"bnnkit.{path.stem}")
+    names = getattr(module, "__all__", [])
+    assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_readme_lists_every_module():
+    section = README.read_text(encoding="utf-8").split("## Package layout")[1]
+    section = section.split("\n## ")[0]
+    listed = re.findall(r"^\| `bnnkit\.(\w+)` \|", section, re.MULTILINE)
+    modules = {p.stem for p in MODULES} - {"__main__"}
+    assert sorted(listed) == sorted(modules)

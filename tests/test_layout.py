@@ -50,9 +50,12 @@ class TestIndex:
             index_nc1hwc2((1, 256, 2, 2), 128, n, c, h, w)
 
     @pytest.mark.parametrize("c2", [8, 32, 128])
-    @pytest.mark.parametrize("dims", [(1, 10, 3, 2), (2, 130, 2, 3), (1, 8, 1, 5)])
+    @pytest.mark.parametrize(
+        "dims", [(1, 10, 3, 2), (2, 130, 2, 3), (1, 8, 1, 5), (2, 1, 3, 4)]
+    )
     def test_agrees_with_enumeration(self, dims, c2, rng):
-        values = rng.choice(np.array([-1.0, 1.0], np.float32), size=dims)
+        pool = np.concatenate([refeval.SPECIAL_F32, refeval.NAN_F32, np.float32([-1, 1])])
+        values = rng.choice(pool, size=dims)
         t = FloatTensor.from_array(values, Layout.NCHW)
         p = pack_to_nc1hwc2(t, c2)
         n, c, h, w = dims
@@ -61,7 +64,7 @@ class TestIndex:
                 for hi in range(h):
                     for wi in range(w):
                         group, bit = index_nc1hwc2(dims, c2, ni, ci, hi, wi)
-                        want = 1 if values[ni, ci, hi, wi] < 0 else 0
+                        want = refeval.signbit32(values[ni, ci, hi, wi])
                         assert refeval.packed_bit(p, group, bit) == want
 
 
@@ -125,6 +128,13 @@ class TestPack:
                 group = int.from_bytes(p.data[0, 1, h, w].tobytes(), "little")
                 assert group >> 2 == 0  # bits 2..127 are channel padding
                 assert group & 0b11 == 0b11
+
+    @pytest.mark.parametrize("dims", [(0, 3, 2, 2), (1, 0, 2, 2), (2, 9, 0, 3), (1, 9, 3, 0)])
+    @pytest.mark.parametrize("layout", [Layout.NCHW, Layout.NHWC])
+    def test_empty_tensors(self, dims, layout):
+        n, c, h, w = dims
+        p = pack_to_nc1hwc2(FloatTensor(dims, layout, np.zeros(0, np.float32)), 8)
+        assert p.data.shape == (n, group_count(c, 8), h, w, 1)
 
     def test_nhwc_and_nchw_pack_identically(self, rng):
         a = rng.standard_normal((1, 6, 4, 4)).astype(np.float32)

@@ -397,6 +397,59 @@ class TestHostileFiles:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestOneEncoding:
+    """Files that the parser could read but ``serialize_model`` never writes:
+    each would load and save back to other bytes, so each must fail."""
+
+    def test_string_table_reordered(self):
+        raw = bytearray(serialize_model(tiny_model()))
+        # swap table entries 0 ("s") and 1 ("input") and the indices naming them
+        table = raw.index(struct.pack("<I", 1) + b"s")
+        raw[table : table + 14] = struct.pack("<I", 5) + b"input" + struct.pack("<I", 1) + b"s"
+        for at in (25, 33, 50):  # node name, node input, graph input
+            assert raw[at] in (0, 1)
+            raw[at] ^= 1
+        with pytest.raises(ModelFormatError, match="first-use order"):
+            deserialize_model(reseal(raw))
+
+    def test_unused_string_table_entry(self):
+        raw = bytearray(serialize_model(tiny_model()))
+        (graph_len,) = struct.unpack_from("<I", raw, 8)
+        table = raw.index(struct.pack("<I", 1) + b"s") - 4
+        raw[table : table + 4] = struct.pack("<I", 4)  # entry count
+        raw[20 + graph_len : 20 + graph_len] = struct.pack("<I", 5) + b"spare"
+        raw[8:12] = struct.pack("<I", graph_len + 9)
+        with pytest.raises(ModelFormatError, match="first-use order"):
+            deserialize_model(reseal(raw))
+
+    def test_repeated_string_table_entry(self):
+        # two sign nodes of one name
+        raw = bytearray(bireal32_bytes())
+        entry = raw.index(struct.pack("<I", 13) + b"s0.b0.u1.sign")
+        raw[entry + 4 : entry + 17] = b"s0.b0.u0.sign"
+        with pytest.raises(ModelFormatError, match="first-use order"):
+            deserialize_model(reseal(raw))
+
+    def test_initializer_records_reversed(self):
+        raw = bireal32_bytes()
+        _, payloads = bireal32_weight_records()
+        ends = [end for _, end in payloads]
+        # the first record starts past the header, graph section and record count
+        starts = [20 + struct.unpack_from("<I", raw, 8)[0] + 4, *ends[:-1]]
+        records = [raw[a:b] for a, b in zip(starts, ends)]
+        raw = raw[: starts[0]] + b"".join(reversed(records)) + raw[ends[-1] :]
+        with pytest.raises(ModelFormatError, match="initializer records out of order"):
+            deserialize_model(reseal(raw))
+
+    def test_signalling_nan_epsilon(self):
+        raw = bytearray(bireal32_bytes())
+        # a list of one attribute record: key 3 (epsilon), float32 1e-5
+        at = raw.index(bytes([1, 3]) + struct.pack("<f", 1e-5)) + 2
+        raw[at : at + 4] = struct.pack("<I", 0x7F800001)
+        with pytest.raises(ModelFormatError, match="does not re-pack"):
+            deserialize_model(reseal(raw))
+
+
 @functools.lru_cache(maxsize=1)
 def bireal32_bytes() -> bytes:
     model = build_birealnet18(np.random.default_rng(1), input_hw=32)
@@ -431,19 +484,19 @@ def bireal32_weight_records() -> tuple[list[int], list[tuple[int, int]]]:
 
 
 def assert_loads_canonically_or_fails_cleanly(raw) -> None:
+    raw = reseal(raw)
     try:
-        model = deserialize_model(reseal(raw))
+        model = deserialize_model(raw)
     except ModelFormatError:
         return
-    saved = serialize_model(model)
-    assert serialize_model(deserialize_model(saved)) == saved
+    assert serialize_model(model) == raw
 
 
 class TestMutationFuzz:
     """Random byte edits of a Bi-Real-Net-18 file, with the CRC resealed.
 
     Every mutated file either fails with ModelFormatError or loads into a
-    model whose saved bytes reload to the same bytes.  Mutated models are
+    model that saves back to the same bytes.  Mutated models are
     only loaded, never run: a mutated padding can ask for huge activations.
     """
 

@@ -350,6 +350,20 @@ class TestBiRealNet:
         )
         assert digests == self.DIGESTS[seed, hw]
 
+    def test_models_and_graphs_compare_by_identity(self):
+        # value equality would compare dicts of numpy arrays, which raises
+        model = build_birealnet18(np.random.default_rng(1), input_hw=32)
+        again = build_birealnet18(np.random.default_rng(1), input_hw=32)
+        graph = birealnet18_graph(np.random.default_rng(1), 32)
+        pairs = [
+            (model, again),
+            (model.graph, again.graph),
+            (graph, birealnet18_graph(np.random.default_rng(1), 32)),
+        ]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert len({a, b}) == 2
+
     @pytest.mark.parametrize("seed", [1, 7])
     def test_matches_reference_eval(self, seed):
         graph = birealnet18_graph(np.random.default_rng(seed), 32)
