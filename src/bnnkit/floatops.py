@@ -9,6 +9,10 @@ can be compared exactly against naive scalar loops with the same nesting.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -44,12 +48,50 @@ def _oihw(weights: FloatTensor) -> np.ndarray:
     )
 
 
-# Output positions per conv accumulator tile: at 64 filters the tile and its
-# product buffer (1 MB each) stay in a 4 MB L2.  Shorter tiles cost no more
-# per element only while the ufunc buffer is sized from them: at numpy's
-# default size, broadcast operands of rows under about 2730 elements are
-# copied through the buffer, at 2-4x the cost (``kernels._row_bufsize``).
-_TILE_POSITIONS = 4096
+# Bytes of a conv's accumulator tile and product tile together: half of one
+# core's L2, so a tile's multiply and add run from cache.  On a 2-vCPU x86 VM
+# with 2 MB of L2 per core (sysfs ``cache/index2``, one CPU per L2), the 7x7
+# stem at 64 filters (8 bytes per position and filter) took 40.9 / 49.7 ms
+# (minimum / median of 15 interleaved in-process rounds) in 2048-position
+# tiles, against 49.6 / 59.1 ms in the 4096-position tiles that overflow it
+# (1536: 41.7 / 51.4 ms, 1024: 43.1 / 54.9 ms); split over two threads
+# (``_with_helper``) it took 26.3 / 33.3 ms.  Shorter tiles cost no more per
+# element only while the ufunc buffer is sized from them: at numpy's default
+# size, broadcast operands of rows under about 2730 elements are copied
+# through the buffer, at 2-4x the cost (``kernels._row_bufsize``).
+_TILE_BYTES = 1 << 20
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _with_helper(work, helper_work) -> None:
+    """Calls ``work`` here and ``helper_work`` in one helper thread at once.
+
+    The helper runs in a copy of this thread's context, where numpy keeps its
+    errstate and ufunc buffer size.  It is joined before this returns or
+    raises, and an exception it raised is raised here.
+    """
+    context, failures = contextvars.copy_context(), []
+
+    def helper():
+        try:
+            context.run(helper_work)
+        except BaseException as exc:  # raised again in the calling thread
+            failures.append(exc)
+
+    thread = threading.Thread(target=helper, name="bnnkit-conv-tiles")
+    thread.start()
+    try:
+        work()
+    finally:
+        thread.join()
+    if failures:
+        raise failures[0]
 
 
 def _ordered_conv(
@@ -66,13 +108,18 @@ def _ordered_conv(
     per contribution keeps the result bit-identical to a scalar reference
     loop with the same nesting.
 
-    Whole output rows are taken about ``_TILE_POSITIONS`` positions at a
-    time into a contiguous accumulator tile; each tap gathers its input
-    plane into a contiguous buffer, multiplies it by the tap's weights and
-    adds the products into the tile.  The tile is (positions, filters) when
-    filters outnumber a tile's positions, else (filters, positions), and the
-    loop runs under a ufunc buffer sized from the shortest inner axis, so no
-    multiply or add is buffered.
+    Whole output rows are taken into a contiguous accumulator tile, as many
+    as keep the tile and its product buffer within ``_TILE_BYTES``; each tap
+    gathers its input plane into a contiguous buffer, multiplies it by the
+    tap's weights and adds the products into the tile.  The tile is
+    (positions, filters) when filters outnumber a tile's positions, else
+    (filters, positions), and the loop runs under a ufunc buffer sized from
+    the shortest inner axis, so no multiply or add is buffered.
+
+    With two or more tiles and at least two usable CPUs, one helper thread
+    computes every other tile for the length of the call (``_with_helper``).
+    Each tile is computed whole by one thread in the same order, so the
+    split changes no output byte.
     """
     n, h, wd, c = x.shape
     m, wc, kh, kw = w.shape
@@ -87,36 +134,50 @@ def _ordered_conv(
     if bias is not None:
         init += np.asarray(bias, dtype=np.float32)
     out = np.empty((n, outh, outw, m), dtype=np.float32)
-    rows = max(1, min(outh, _TILE_POSITIONS // outw))
+    rows = max(1, min(outh, _TILE_BYTES // (8 * m * outw)))
     # one row of m weights per tap, taps in accumulation order
     taps = np.ascontiguousarray(np.transpose(w, (1, 3, 2, 0))).reshape(c * kw * kh, m)
     wide = m > rows * outw  # filters on the tile's inner axis
     if not wide:
         taps, init = taps[:, :, None], init[:, None]
     inner = m if wide else ((outh - 1) % rows + 1) * outw  # the last tile is the shortest
-    acc_buf = np.empty(m * rows * outw, dtype=np.float32)
-    prod_buf = np.empty_like(acc_buf)
-    plane_buf = np.empty(rows * outw, dtype=np.float32)
+    tiles = [(img, y0) for img in range(n) for y0 in range(0, outh, rows)]
+
+    def scratch():
+        """Accumulator, product and plane buffers for one thread's tiles."""
+        return (
+            np.empty(m * rows * outw, dtype=np.float32),
+            np.empty(m * rows * outw, dtype=np.float32),
+            np.empty(rows * outw, dtype=np.float32),
+        )
+
+    def run(tiles, acc_buf, prod_buf, plane_buf):
+        for img, y0 in tiles:
+            r = min(rows, outh - y0)
+            shape = (r * outw, m) if wide else (m, r * outw)
+            acc = acc_buf[: m * r * outw].reshape(shape)
+            prod = prod_buf[: m * r * outw].reshape(shape)
+            plane = plane_buf[: r * outw]
+            acc[...] = init
+            factor = plane[:, None] if wide else plane
+            for (ci, kx, ky), tap in zip(product(range(c), range(kw), range(kh)), taps):
+                y = ky + sh * y0
+                np.copyto(
+                    plane.reshape(r, outw),
+                    padded[img, ci, y : y + sh * r : sh, kx : kx + sw * outw : sw],
+                )
+                np.multiply(factor, tap, out=prod)
+                np.add(acc, prod, out=acc)
+            out[img, y0 : y0 + r] = (acc if wide else acc.T).reshape(r, outw, m)
+
     with np.errstate():
         np.setbufsize(_row_bufsize(inner))
-        for img in range(n):
-            for y0 in range(0, outh, rows):
-                r = min(rows, outh - y0)
-                shape = (r * outw, m) if wide else (m, r * outw)
-                acc = acc_buf[: m * r * outw].reshape(shape)
-                prod = prod_buf[: m * r * outw].reshape(shape)
-                plane = plane_buf[: r * outw]
-                acc[...] = init
-                factor = plane[:, None] if wide else plane
-                for (ci, kx, ky), tap in zip(product(range(c), range(kw), range(kh)), taps):
-                    y = ky + sh * y0
-                    np.copyto(
-                        plane.reshape(r, outw),
-                        padded[img, ci, y : y + sh * r : sh, kx : kx + sw * outw : sw],
-                    )
-                    np.multiply(factor, tap, out=prod)
-                    np.add(acc, prod, out=acc)
-                out[img, y0 : y0 + r] = (acc if wide else acc.T).reshape(r, outw, m)
+        if len(tiles) > 1 and _cpus() > 1:
+            # each thread's scratch is allocated here, before the helper starts
+            helper = partial(run, tiles[1::2], *scratch())
+            _with_helper(partial(run, tiles[::2], *scratch()), helper)
+        else:
+            run(tiles, *scratch())
     return out
 
 

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -54,16 +57,25 @@ def check_conv_bytes(x, w, bias, stride, pad):
     assert got.tobytes() == want.tobytes()
 
 
-def conv_operands(rng, xs, ws):
+def conv_operands(rng, xs, ws, pool=refeval.SPECIAL_F32):
     """Input, weights and bias with about one special value per operand per sum.
 
     Denser specials would make almost every sum inf or NaN, whatever its order.
     """
     share = min(0.2, 1 / np.prod(ws[1:]))
-    mix = [refeval.special_mix(rng, shape, share) for shape in (xs, ws, ws[:1])]
+    mix = [refeval.special_mix(rng, shape, share, pool) for shape in (xs, ws, ws[:1])]
     mix[2][0] = -0.0
     return mix
 
+
+def tile_budget(m, positions):
+    """A ``floatops._TILE_BYTES`` that gives tiles of ``positions`` positions at
+    ``m`` filters: 4 bytes of accumulator and 4 of products per position and filter."""
+    return 8 * m * positions
+
+
+# Positions per tile at which the two last geometries below are ragged
+RAGGED_TILE = 4096
 
 # (input NHWC, weights OIHW, stride, padding) of the convs inference runs
 CONV_GEOMETRIES = {
@@ -129,7 +141,7 @@ class TestConv2d:
         check_conv_bytes(*conv_operands(rng, xs, ws), stride, pad)
 
     def test_tiles_cover_the_ragged_and_wide_cases(self):
-        tile = floatops._TILE_POSITIONS
+        tile = RAGGED_TILE
         (_, h, wd, _), (_, _, kh, _), (sh, _), (ph, _) = CONV_GEOMETRIES["ragged_last_tile"]
         outh, outw = (h + 2 * ph - kh) // sh + 1, wd
         assert outh % (tile // outw) and outh > tile // outw
@@ -139,9 +151,9 @@ class TestConv2d:
     @pytest.mark.parametrize("m", [4, 10, 13])  # below, equal to and above a tile's positions
     def test_filters_against_tile_positions(self, kernel, m, rng, monkeypatch):
         # tiles of 2 rows of 5 positions, and a ragged last tile of 1 row
-        monkeypatch.setattr(floatops, "_TILE_POSITIONS", 12)
+        monkeypatch.setattr(floatops, "_TILE_BYTES", tile_budget(m, 12))
         xs, ws, pad = (2, 7, 5, 3), (m, 3, kernel, kernel), kernel // 2
-        rows = floatops._TILE_POSITIONS // xs[2]
+        rows = 12 // xs[2]
         assert rows * xs[2] == 10 and xs[1] % rows
         check_conv_bytes(*conv_operands(rng, xs, ws), (1, 1), (pad, pad))
 
@@ -174,6 +186,66 @@ class TestConv2d:
     def test_channel_mismatch(self, rng):
         with pytest.raises(ValueError):
             conv2d_f32(nchw(np.zeros((1, 2, 3, 3))), nchw(np.zeros((1, 3, 1, 1))))
+
+
+class TestTileSplit:
+    """With two usable CPUs a conv of two or more tiles hands every other tile
+    to one helper thread; each tile is computed whole, so no byte changes."""
+
+    @pytest.fixture
+    def helpers(self, monkeypatch):
+        """Threads started while the test runs."""
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        return started
+
+    @staticmethod
+    def set_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @staticmethod
+    def conv_bytes(x, w, bias, params):
+        """conv2d_f32 and oracle_binary_conv output bytes."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = conv2d_f32(nhwc(x), nchw(w), bias, params)
+        return out.data.tobytes(), oracle_binary_conv(nhwc(x), nchw(w), params).data.tobytes()
+
+    @pytest.mark.parametrize("case", list(CONV_GEOMETRIES))
+    def test_one_and_two_cpus_against_scalar_loop(self, case, rng, monkeypatch, helpers):
+        xs, ws, stride, pad = CONV_GEOMETRIES[case]
+        params = ConvParams(kernel=ws[2:], channels=ws[1], stride=stride, padding=pad)
+        ragged = case in ("ragged_last_tile", "row_wider_than_tile")
+        # tiles of 1-2 output rows, or the ragged tiles the geometry was made for
+        monkeypatch.setattr(floatops, "_TILE_BYTES", tile_budget(ws[0], RAGGED_TILE if ragged else 12))
+        operands = conv_operands(rng, xs, ws)
+        # NaNs of several payloads: the scalar loop keeps other NaN bits where
+        # two NaNs meet (ROADMAP item 5), so these compare one CPU with two
+        nan_operands = conv_operands(rng, xs, ws, SPECIALS)
+        outputs = []
+        for cpus in (1, 2):
+            self.set_cpus(monkeypatch, cpus)
+            check_conv_bytes(*operands, stride, pad)
+            outputs.append(self.conv_bytes(*nan_operands, params))
+            assert len(helpers) == 4 * (cpus - 1)  # one per conv, none on one CPU
+        assert outputs[0] == outputs[1]
+        assert not any(t.is_alive() for t in helpers)
+
+    def test_stem_bytes_with_and_without_the_split(self, rng, monkeypatch, helpers):
+        """The 224 -> 112 stem at its default tiles, on special values."""
+        x, w, bias = conv_operands(rng, (1, 224, 224, 3), (64, 3, 7, 7), SPECIALS)
+        params = ConvParams(kernel=(7, 7), channels=3, stride=(2, 2), padding=(3, 3))
+        outputs = []
+        for cpus in (1, 2):
+            self.set_cpus(monkeypatch, cpus)
+            outputs.append(self.conv_bytes(x, w, bias, params))
+        assert len(helpers) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestOracleBinaryConv:

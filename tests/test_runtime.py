@@ -1,5 +1,7 @@
 import hashlib
+import os
 import pickle
+import threading
 import tracemalloc
 
 import time
@@ -177,6 +179,28 @@ class TestUfuncState:
                 raising = (np.getbufsize(), np.geterr())
                 with pytest.raises(FloatingPointError):
                     floatops.conv2d_f32(huge, tens)
+                assert (np.getbufsize(), np.geterr()) == raising
+            assert (np.getbufsize(), np.geterr()) == state
+
+    @pytest.mark.parametrize("row", [0, 1])  # in a tile of the calling thread, of the helper
+    def test_helper_thread_state_and_errors_reach_the_caller(self, row, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(floatops, "_TILE_BYTES", 8 * 4 * 3)  # four tiles of one row
+        x = np.ones((1, 4, 3, 2), np.float32)
+        huge = x.copy()
+        huge[0, row] = 3e38
+        tens = FloatTensor.from_array(np.full((4, 2, 1, 1), 10.0, np.float32), Layout.NCHW)
+        threads = threading.active_count()
+        with np.errstate(divide="ignore"):
+            np.setbufsize(4096)
+            state = (np.getbufsize(), np.geterr())
+            with np.errstate(over="raise"):
+                raising = (np.getbufsize(), np.geterr())
+                floatops.conv2d_f32(input_tensor(x), tens)
+                assert threading.active_count() == threads
+                with pytest.raises(FloatingPointError):
+                    floatops.conv2d_f32(input_tensor(huge), tens)
+                assert threading.active_count() == threads
                 assert (np.getbufsize(), np.geterr()) == raising
             assert (np.getbufsize(), np.geterr()) == state
 
