@@ -21,7 +21,6 @@ from .kernels import (
 )
 from .layout import (
     FloatTensor,
-    Layout,
     PackedTensor,
     group_count,
     pack_to_nc1hwc2,

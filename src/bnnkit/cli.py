@@ -33,7 +33,7 @@ import numpy as np
 
 from .convert import ConvertOptions, convert_model, pack_conv_weight, parse_interchange
 from .kernels import BinMatrix, ConvParams, _conv_geometry, binary_direct_conv
-from .layout import FloatTensor, Layout, PackedTensor, group_count, pack_to_nc1hwc2
+from .layout import FloatTensor, PackedTensor, group_count, pack_to_nc1hwc2
 from .modelfile import ModelFormatError, load_model, save_model
 from .nets import build_birealnet18
 from .runtime import GraphError, execute
@@ -145,7 +145,7 @@ def _bench_packing(rng, sizes, repeat) -> list[BenchRecord]:
     for spatial, channels in sizes:
         case = f"{spatial}x{spatial}x{channels}"
         values = rng.standard_normal((1, spatial, spatial, channels)).astype(np.float32)
-        tensor = FloatTensor.from_array(values, Layout.NHWC)
+        tensor = FloatTensor.from_array(values)
         if pack_naive(values).tobytes() != pack_to_nc1hwc2(tensor, channels).data.tobytes():
             raise CrossCheckError(f"packing cross-check failed for {case}")
         variants = [
@@ -243,7 +243,7 @@ def _bench_conv(rng, cases, repeat) -> list[BenchRecord]:
         wvals = rng.choice(np.array([-1.0, 1.0], np.float32), size=(filters, channels, 3, 3))
         weight = pack_conv_weight(wvals, c2).matrix
         x = rng.standard_normal((1, spatial, spatial, channels)).astype(np.float32)
-        packed = pack_to_nc1hwc2(FloatTensor.from_array(x, Layout.NHWC), c2)
+        packed = pack_to_nc1hwc2(FloatTensor.from_array(x), c2)
 
         def via_gemm(p=packed, w=weight, pr=params):
             return match_to_dot(bgemm(w, im2col_packed(p, pr)), pr, c2)
@@ -256,7 +256,7 @@ def _bench_conv(rng, cases, repeat) -> list[BenchRecord]:
 
         gemm_out = via_gemm()
         direct_out = direct()
-        flat = np.ascontiguousarray(direct_out.nhwc_array()).reshape(-1, weight.rows).T
+        flat = direct_out.data.reshape(-1, weight.rows).T
         if not np.array_equal(gemm_out.astype(np.int64), flat.astype(np.int64)):
             raise CrossCheckError(f"conv cross-check failed for {case}")
         variants = [
@@ -271,9 +271,7 @@ def _bench_conv(rng, cases, repeat) -> list[BenchRecord]:
 def _bench_net(seed, hw, repeat) -> list[BenchRecord]:
     model = build_birealnet18(np.random.default_rng(seed), input_hw=hw)
     rng = np.random.default_rng(seed + 1)
-    x = FloatTensor.from_array(
-        rng.standard_normal((1, hw, hw, 3)).astype(np.float32), Layout.NHWC
-    )
+    x = FloatTensor.from_array(rng.standard_normal((1, hw, hw, 3)).astype(np.float32))
     first = execute(model, x)
     second = execute(model, x)
     if first.data.tobytes() != second.data.tobytes():

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import floatops
 from .kernels import BinMatrix
-from .layout import FloatTensor, Layout, check_group_bits, pack_to_nc1hwc2
+from .layout import FloatTensor, check_group_bits, pack_to_nc1hwc2
 from .runtime import (
     Graph,
     GraphError,
@@ -539,7 +539,7 @@ def pack_conv_weight(values: np.ndarray, c2: int = 128) -> PackedWeight:
         raise ValueError("expected (out, in, kh, kw) weights")
     m, c, kh, kw = w.shape
     taps = w.transpose(0, 2, 3, 1).reshape(m * kh * kw, 1, 1, c)
-    packed = pack_to_nc1hwc2(FloatTensor.from_array(taps, Layout.NHWC), c2)
+    packed = pack_to_nc1hwc2(FloatTensor.from_array(taps), c2)
     k = kh * kw * packed.c1
     rows = packed.data.reshape(m, k, packed.c2 // 8)
     return PackedWeight((m, c, kh, kw), packed.c2, BinMatrix(m, k, packed.c2, rows))

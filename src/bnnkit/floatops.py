@@ -1,7 +1,6 @@
 """Full-precision operators for the non-binary layers of a network, plus the
 float reference convolution that validates the packed kernels.
 
-Operators accept tensors in either storage order and always return NHWC.
 Reductions accumulate in a fixed element order (documented per function),
 one float32 addition per contribution, so results are bit-reproducible and
 can be compared exactly against naive scalar loops with the same nesting.
@@ -18,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .kernels import ConvParams, _row_bufsize
-from .layout import FloatTensor, Layout, signed_ones
+from .layout import FloatTensor, signed_ones
 
 __all__ = [
     "conv2d_f32",
@@ -34,18 +33,6 @@ __all__ = [
     "fully_connected",
     "flatten",
 ]
-
-
-def _nhwc(t: FloatTensor) -> np.ndarray:
-    return np.ascontiguousarray(t.nhwc_array())
-
-
-def _oihw(weights: FloatTensor) -> np.ndarray:
-    """Weight values as an (out, in, kh, kw) array regardless of storage order."""
-    a = weights.array4d()
-    return np.ascontiguousarray(
-        a if weights.layout is Layout.NCHW else np.transpose(a, (0, 3, 1, 2))
-    )
 
 
 # Bytes of a conv's accumulator tile and product tile together: half of one
@@ -101,7 +88,8 @@ def _ordered_conv(
     p: ConvParams,
     pad_value: float,
 ) -> np.ndarray:
-    """Cross-correlation with a fixed accumulation order.
+    """Cross-correlation of NHWC ``x`` with (filters, kh, kw, channels) ``w``
+    in a fixed accumulation order.
 
     Per output element the additions run kernel-row fastest, then kernel
     column, then input channel, starting from 0 + bias.  One float32 add
@@ -122,7 +110,7 @@ def _ordered_conv(
     split changes no output byte.
     """
     n, h, wd, c = x.shape
-    m, wc, kh, kw = w.shape
+    m, kh, kw, wc = w.shape
     if wc != c:
         raise ValueError(f"weights expect {wc} input channels, tensor has {c}")
     sh, sw = p.stride
@@ -136,7 +124,7 @@ def _ordered_conv(
     out = np.empty((n, outh, outw, m), dtype=np.float32)
     rows = max(1, min(outh, _TILE_BYTES // (8 * m * outw)))
     # one row of m weights per tap, taps in accumulation order
-    taps = np.ascontiguousarray(np.transpose(w, (1, 3, 2, 0))).reshape(c * kw * kh, m)
+    taps = np.ascontiguousarray(np.transpose(w, (3, 2, 1, 0))).reshape(c * kw * kh, m)
     wide = m > rows * outw  # filters on the tile's inner axis
     if not wide:
         taps, init = taps[:, :, None], init[:, None]
@@ -181,7 +169,8 @@ def _ordered_conv(
     return out
 
 
-def _conv_params(p: ConvParams | None, kh: int, kw: int, c: int) -> ConvParams:
+def _conv_params(p: ConvParams | None, weights: FloatTensor) -> ConvParams:
+    _, c, kh, kw = weights.dims
     if p is None:
         return ConvParams(kernel=(kh, kw), channels=c)
     if p.kernel != (kh, kw):
@@ -199,13 +188,11 @@ def conv2d_f32(
 ) -> FloatTensor:
     """Full-precision convolution; spatial padding contributes 0.0.
 
-    ``weights`` holds (out_channels, in_channels, kh, kw) extents.
+    ``weights`` has (out_channels, in_channels, kh, kw) dims.
     """
-    x = _nhwc(input)
-    w = _oihw(weights)
-    p = _conv_params(p, w.shape[2], w.shape[3], w.shape[1])
-    out = _ordered_conv(x, w, bias, p, 0.0)
-    return FloatTensor.from_array(out, Layout.NHWC)
+    p = _conv_params(p, weights)
+    out = _ordered_conv(input.nhwc_array(), weights.nhwc_array(), bias, p, 0.0)
+    return FloatTensor.from_array(out)
 
 
 def oracle_binary_conv(
@@ -219,16 +206,15 @@ def oracle_binary_conv(
     float32 with spatial padding contributing +1.0, mirroring the packed
     path where pad bits read as +1.
     """
-    x = signed_ones(_nhwc(input).view(np.uint32))
-    w = signed_ones(_oihw(weights).view(np.uint32))
-    p = _conv_params(p, w.shape[2], w.shape[3], w.shape[1])
-    out = _ordered_conv(x, w, None, p, 1.0)
-    return FloatTensor.from_array(out, Layout.NHWC)
+    p = _conv_params(p, weights)
+    x = signed_ones(input.nhwc_array().view(np.uint32))
+    w = signed_ones(weights.nhwc_array().view(np.uint32))
+    return FloatTensor.from_array(_ordered_conv(x, w, None, p, 1.0))
 
 
 def sign_op(input: FloatTensor) -> FloatTensor:
     """Elementwise binarization to ±1 by the raw sign bit (-0.0 -> -1)."""
-    return FloatTensor.from_array(signed_ones(_nhwc(input).view(np.uint32)), Layout.NHWC)
+    return FloatTensor.from_array(signed_ones(input.nhwc_array().view(np.uint32)))
 
 
 def bn_scale(var, eps: float) -> np.ndarray:
@@ -243,7 +229,7 @@ def batchnorm(
     input: FloatTensor, gamma, beta, mean, var, eps: float = 1e-5
 ) -> FloatTensor:
     """Per-channel affine normalization: ((x - mean) / sqrt(var + eps)) * gamma + beta."""
-    x = _nhwc(input)
+    x = input.nhwc_array()
     c = input.dims[1]
     g, b, mu = (np.asarray(v, dtype=np.float32) for v in (gamma, beta, mean))
     s = bn_scale(var, eps)
@@ -255,17 +241,17 @@ def batchnorm(
     np.divide(out, s, out=out)
     np.multiply(out, g, out=out)
     np.add(out, b, out=out)
-    return FloatTensor.from_array(out, Layout.NHWC)
+    return FloatTensor.from_array(out)
 
 
 def relu(input: FloatTensor) -> FloatTensor:
-    return FloatTensor.from_array(np.maximum(_nhwc(input), np.float32(0.0)), Layout.NHWC)
+    return FloatTensor.from_array(np.maximum(input.nhwc_array(), np.float32(0.0)))
 
 
 def add(a: FloatTensor, b: FloatTensor) -> FloatTensor:
     if a.dims != b.dims:
         raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
-    return FloatTensor.from_array(_nhwc(a) + _nhwc(b), Layout.NHWC)
+    return FloatTensor.from_array(a.nhwc_array() + b.nhwc_array())
 
 
 def _pool_geometry(x, window, stride, padding):
@@ -300,13 +286,13 @@ def maxpool(
     Taps fold row-major into a -inf output, each over the outputs whose
     window holds it inside the image, so no padded copy of the input exists.
     """
-    x = _nhwc(input)
+    x = input.nhwc_array()
     shape, taps = _pool_geometry(x, window, stride or window, padding)
     out = np.full(shape, -np.inf, dtype=np.float32)
     for (oy, iy), (ox, ix) in taps:
         region = out[:, oy, ox]
         np.maximum(region, x[:, iy, ix], out=region)
-    return FloatTensor.from_array(out, Layout.NHWC)
+    return FloatTensor.from_array(out)
 
 
 def avgpool(
@@ -320,7 +306,7 @@ def avgpool(
     Sums walk the window row-major, padded positions adding 0.0; the divisor
     counts only in-image positions, so borders are not diluted by padding.
     """
-    x = _nhwc(input)
+    x = input.nhwc_array()
     n, h, w, c = x.shape
     (wh, ww), (sh, sw), (ph, pw) = window, stride or window, padding
     shape, taps = _pool_geometry(x, window, (sh, sw), padding)
@@ -338,33 +324,31 @@ def avgpool(
     count = np.zeros((outh, outw, 1), dtype=np.float32)
     for (oy, _), (ox, _) in taps:
         count[oy, ox] += 1
-    return FloatTensor.from_array(np.divide(total, count, out=total), Layout.NHWC)
+    return FloatTensor.from_array(np.divide(total, count, out=total))
 
 
 def global_avgpool(input: FloatTensor) -> FloatTensor:
     """Spatial mean per channel, accumulated row-major; output is (n, c, 1, 1)."""
-    x = _nhwc(input)
+    x = input.nhwc_array()
     n, h, w, c = x.shape
     acc = np.zeros((n, c), dtype=np.float32)
     for y in range(h):
         for xw in range(w):
             acc += x[:, y, xw, :]
     acc /= np.float32(h * w)
-    return FloatTensor.from_array(acc.reshape(n, 1, 1, c), Layout.NHWC)
+    return FloatTensor.from_array(acc.reshape(n, 1, 1, c))
 
 
 def _channel_major_flat(t: FloatTensor) -> np.ndarray:
     """(n, c*h*w) features in channel-major (c, then h, then w) order."""
-    a = t.array4d()
-    if t.layout is Layout.NHWC:
-        a = np.transpose(a, (0, 3, 1, 2))
+    a = np.transpose(t.nhwc_array(), (0, 3, 1, 2))
     return np.ascontiguousarray(a).reshape(t.dims[0], -1)
 
 
 def flatten(input: FloatTensor) -> FloatTensor:
     """Collapse (c, h, w) into the channel axis in channel-major order."""
     flat = _channel_major_flat(input)
-    return FloatTensor.from_array(flat.reshape(input.dims[0], 1, 1, -1), Layout.NHWC)
+    return FloatTensor.from_array(flat.reshape(input.dims[0], 1, 1, -1))
 
 
 # Dense-layer terms per block: 0.5 MB of float32, so the classifier's
@@ -401,4 +385,4 @@ def fully_connected(input: FloatTensor, weights, bias=None) -> FloatTensor:
         terms[..., 0] = init[o : o + block]
         np.multiply(feats[:, None, :], w[o : o + block], out=terms[..., 1:])
         acc[:, o : o + block] = np.add.accumulate(terms, axis=2, out=terms)[..., -1]
-    return FloatTensor.from_array(acc.reshape(n, 1, 1, out), Layout.NHWC)
+    return FloatTensor.from_array(acc.reshape(n, 1, 1, out))

@@ -3,7 +3,7 @@ packed-weight container it reads.
 
 The direct convolution, which inference runs, xors 64-bit (or narrower)
 words of all filters against one contiguous plane of input words per step
-and adds the popcounts into 16-bit mismatch accumulators, one per output,
+and sums the popcounts into 16-bit mismatch accumulators, one per output,
 so a dot product may span at most 8 * ``MAX_GROUPS_PER_DOT`` = 65528 bits.
 Words that hold only channel pad bits are skipped, and pad bits are 0 in
 both operands, so pads never reach a count: over the kh*kw*c real bits,
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import FloatTensor, Layout, PackedTensor, check_group_bits, group_count
+from .layout import FloatTensor, PackedTensor, check_group_bits, group_count
 
 __all__ = [
     "BinMatrix",
@@ -147,14 +147,15 @@ def binary_direct_conv(
     it.  The image is gathered once into word planes, one contiguous row of
     out_h * out_w words per (kernel tap, channel group, word) that holds a
     real channel; each step xors one weight word of all M filters against
-    one plane and adds the popcounts into a uint16 mismatch accumulator,
-    read once into the output as kh*kw*c - 2 * mismatches.  The accumulator
-    puts the longer of filters and positions on its inner axis, (positions,
-    M) when M > out_h * out_w, else (M, positions), and the loop runs under
-    a ufunc buffer sized from that axis, so no xor or popcount is buffered.
-    A dot product may span at most
-    ``MAX_GROUPS_PER_DOT`` bytes, else ``OverflowError``.  Skipped words
-    hold only pad bits, which are 0 in both operands (``PackedWeight``
+    one plane and popcounts the result.  Up to 255 // word bits steps sum
+    their counts in a uint8 partial, which one widening add then puts into
+    a uint16 mismatch accumulator, read once into the output as
+    kh*kw*c - 2 * mismatches.  The accumulator puts the longer of filters
+    and positions on its inner axis, (positions, M) when M > out_h * out_w,
+    else (M, positions), and the loop runs under a ufunc buffer sized from
+    that axis, so no xor or popcount is buffered.  A dot product may span
+    at most ``MAX_GROUPS_PER_DOT`` bytes, else ``OverflowError``.  Skipped
+    words hold only pad bits, which are 0 in both operands (``PackedWeight``
     checks weights, ``pack_to_nc1hwc2`` writes zeros), so never mismatch.
     """
     outh, outw = _conv_geometry(input, p)
@@ -182,7 +183,8 @@ def binary_direct_conv(
     else:
         shape, plane_shape, wcols = (m, npos), (-1, npos), wcols[:, :, None]
     mismatch = np.empty(shape, dtype=word)
-    bits = np.empty(shape, dtype=np.uint8)
+    bits, partial = np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=np.uint8)
+    batch = 255 // word_bits  # popcounts a uint8 partial sum holds
     out = np.empty((n, npos, m), dtype=np.float32)
     with np.errstate():
         np.setbufsize(_row_bufsize(max(m, npos)))
@@ -194,11 +196,15 @@ def binary_direct_conv(
             for ky in range(kh):
                 for kx in range(kw):
                     planes[ky, kx] = image[:, ky : ky + sh * outh : sh, kx : kx + sw * outw : sw]
+            planes = planes.reshape(plane_shape)
             acc = np.zeros(shape, dtype=np.uint16)
-            for plane, wcol in zip(planes.reshape(plane_shape), wcols):
-                np.bitwise_xor(wcol, plane, out=mismatch)
-                np.bitwise_count(mismatch, out=bits)
-                acc += bits
+            for s in range(0, len(wcols), batch):
+                np.bitwise_xor(wcols[s], planes[s], out=mismatch)
+                np.bitwise_count(mismatch, out=partial)
+                for plane, wcol in zip(planes[s + 1 : s + batch], wcols[s + 1 : s + batch]):
+                    np.bitwise_xor(wcol, plane, out=mismatch)
+                    np.add(partial, np.bitwise_count(mismatch, out=bits), out=partial)
+                acc += partial  # the one widening add per batch
             np.multiply(acc if wide else acc.T, np.float32(-2), out=out[img])
             out[img] += np.float32(kh * kw * p.channels)  # a dot of 0 is +0.0
-    return FloatTensor.from_array(out.reshape(n, outh, outw, m), Layout.NHWC)
+    return FloatTensor.from_array(out.reshape(n, outh, outw, m))

@@ -1,12 +1,14 @@
 """Dense float tensors and the channel-grouped bit-packed layout.
 
-``FloatTensor`` carries (n, c, h, w) logical extents plus a storage-order
-tag (NCHW or NHWC) over flat float32 data.  ``PackedTensor`` is the
-binarized form: the channel axis is split into c1 = ceil(c / c2) groups of
-c2 bits each, stored in (n, c1, h, w, c2-bit group) order, so one
-contiguous group holds all channels of a group at a fixed spatial position
-and a spatial window walk touches whole groups.  Channel slots past c in
-the last group are pad bits and are always 0 (logical +1).
+``FloatTensor`` carries (n, c, h, w) logical extents over flat float32
+data stored NHWC, the one order every operator reads and returns;
+``Layout`` only names the axis order of an array given to ``from_array``.
+``PackedTensor`` is the binarized form: the channel axis is split into
+c1 = ceil(c / c2) groups of c2 bits each, stored in (n, c1, h, w, c2-bit
+group) order, so one contiguous group holds all channels of a group at a
+fixed spatial position and a spatial window walk touches whole groups.
+Channel slots past c in the last group are pad bits and are always 0
+(logical +1).
 
 Activations and filter banks are both packed by ``pack_to_nc1hwc2``;
 ``check_pad_bits`` guards packed data that arrives from outside.
@@ -32,6 +34,8 @@ __all__ = [
 
 
 class Layout(str, Enum):
+    """Axis order of an array given to ``FloatTensor.from_array``."""
+
     NCHW = "NCHW"
     NHWC = "NHWC"
 
@@ -67,62 +71,45 @@ def check_pad_bits(groups: np.ndarray, c: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FloatTensor:
-    """Storage-order-tagged 4-D float32 tensor over flat read-only data."""
+    """4-D float32 tensor: (n, c, h, w) logical extents over flat read-only
+    data that is always stored NHWC."""
 
     dims: tuple[int, int, int, int]
-    layout: Layout
     data: np.ndarray
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) != 4 or any(d < 0 for d in dims):
             raise ValueError(f"bad dims {self.dims!r}")
-        layout = Layout(self.layout)
         data = np.ascontiguousarray(self.data, dtype=np.float32).reshape(-1)
         n, c, h, w = dims
         if data.size != n * c * h * w:
             raise ValueError("data length does not match dims")
         data.setflags(write=False)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", data)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FloatTensor):
             return NotImplemented
-        return (
-            self.dims == other.dims
-            and self.layout is other.layout
-            and self.data.tobytes() == other.data.tobytes()
-        )
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        """Extents in storage-axis order."""
-        n, c, h, w = self.dims
-        return (n, c, h, w) if self.layout is Layout.NCHW else (n, h, w, c)
+        return self.dims == other.dims and self.data.tobytes() == other.data.tobytes()
 
     @classmethod
-    def from_array(cls, array, layout: Layout = Layout.NHWC) -> "FloatTensor":
-        """Wrap a 4-D array whose axes follow the given storage order."""
+    def from_array(cls, array, layout: Layout | str = "NHWC") -> "FloatTensor":
+        """Wrap a 4-D array whose axes are in the given order; an NCHW array
+        is transposed into NHWC storage here, once."""
         arr = np.asarray(array, dtype=np.float32)
         if arr.ndim != 4:
             raise ValueError("expected a 4-D array")
-        layout = Layout(layout)
-        if layout is Layout.NCHW:
-            n, c, h, w = arr.shape
-        else:
-            n, h, w, c = arr.shape
-        return cls((n, c, h, w), layout, arr.reshape(-1))
-
-    def array4d(self) -> np.ndarray:
-        """Read-only view shaped in storage order."""
-        return self.data.reshape(self.shape)
+        if Layout(layout) is Layout.NCHW:
+            arr = np.transpose(arr, (0, 2, 3, 1))
+        n, h, w, c = arr.shape
+        return cls((n, c, h, w), arr)
 
     def nhwc_array(self) -> np.ndarray:
-        """Values as an (n, h, w, c) array; a transposed view for NCHW storage."""
-        a = self.array4d()
-        return a if self.layout is Layout.NHWC else np.transpose(a, (0, 2, 3, 1))
+        """Read-only (n, h, w, c) view of the data."""
+        n, c, h, w = self.dims
+        return self.data.reshape(n, h, w, c)
 
 
 @dataclass(frozen=True, eq=False)

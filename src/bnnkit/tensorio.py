@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .layout import FloatTensor, Layout
+from .layout import FloatTensor
 
 __all__ = ["TensorFileError", "read_tensor", "write_tensor"]
 
@@ -20,8 +20,8 @@ class TensorFileError(ValueError):
 
 
 def write_tensor(path, t: FloatTensor) -> None:
-    nhwc = np.ascontiguousarray(t.nhwc_array(), dtype="<f4")
-    Path(path).write_bytes(_HEADER.pack(*t.dims) + nhwc.tobytes())
+    data = t.data.astype("<f4", copy=False)
+    Path(path).write_bytes(_HEADER.pack(*t.dims) + data.tobytes())
 
 
 def read_tensor(path) -> FloatTensor:
@@ -35,4 +35,4 @@ def read_tensor(path) -> FloatTensor:
     if len(raw) > expected:
         raise TensorFileError("trailing bytes in tensor file")
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    return FloatTensor((n, c, h, w), Layout.NHWC, data)
+    return FloatTensor((n, c, h, w), data)

@@ -67,21 +67,11 @@ def index_nc1hwc2(
     return group, c % c2
 
 
-def convert_layout(t: FloatTensor, target: Layout) -> FloatTensor:
-    """Repack to the target storage order; values are unchanged."""
-    target = Layout(target)
-    if t.layout is target:
-        return t
-    perm = (0, 2, 3, 1) if target is Layout.NHWC else (0, 3, 1, 2)
-    data = np.ascontiguousarray(np.transpose(t.array4d(), perm))
-    return FloatTensor(t.dims, target, data.reshape(-1))
-
-
 def unpack_from_nc1hwc2(p: PackedTensor) -> FloatTensor:
     """Recover a ±1-valued NHWC tensor; channel pad bits are dropped."""
     n, c, h, w = p.dims
     if 0 in (n, c, h, w):
-        return FloatTensor(p.dims, Layout.NHWC, np.zeros(0, np.float32))
+        return FloatTensor(p.dims, np.zeros(0, np.float32))
     bits = np.unpackbits(p.data, axis=-1, count=p.c2, bitorder="little")
     bits = bits.transpose(0, 2, 3, 1, 4).reshape(n, h, w, p.c1 * p.c2)[..., :c]
     values = np.where(bits, np.float32(-1.0), np.float32(1.0))
@@ -128,7 +118,7 @@ def binary_direct_conv_counts(
 
     The inverse of dot = 2 * (matches - kh*kw*(c1*c2 - c)) - kh*kw*c.
     """
-    dots = binary_direct_conv(input, weights, p).array4d()
+    dots = binary_direct_conv(input, weights, p).nhwc_array()
     n, outh, outw, m = dots.shape
     kh, kw = p.kernel
     offset = kh * kw * (2 * input.c1 * input.c2 - p.channels)

@@ -173,7 +173,7 @@ def test_packing_agreement_and_popcount():
                 spots = gen.integers(0, length, size=max(1, int(length) // 16))
                 values[spots] = gen.choice(pool, size=len(spots))
             # the slice is the channel axis of one position, in a single group
-            t = FloatTensor((1, int(length), 1, 1), Layout.NCHW, values)
+            t = FloatTensor((1, int(length), 1, 1), values)
             c2 = max(8, -(-int(length) // 8) * 8)
             assert pack_naive(values).tobytes() == pack_to_nc1hwc2(t, c2).data.tobytes()
         for _ in range(1000):
@@ -351,7 +351,7 @@ def test_bench_csv_schema_and_cross_check(capsys, monkeypatch):
                 float(fields[4])
         monkeypatch.setattr(
             "bnnkit.cli.pack_to_nc1hwc2",
-            lambda t, c2: pack_to_nc1hwc2(FloatTensor(t.dims, t.layout, -t.data), c2),
+            lambda t, c2: pack_to_nc1hwc2(FloatTensor(t.dims, -t.data), c2),
         )
         code = cli_main(["bench", "--suite", "packing", "--sizes", "small", "--repeat", "1"])
         assert code == 1

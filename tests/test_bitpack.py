@@ -8,12 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bnnkit.cli import pack_naive
-from bnnkit.layout import (
-    FloatTensor,
-    Layout,
-    PackedTensor,
-    pack_to_nc1hwc2,
-)
+from bnnkit.layout import FloatTensor, PackedTensor, pack_to_nc1hwc2
 from refeval import unpack_from_nc1hwc2
 
 NEG_NAN = np.uint32(0xFFC00000).view(np.float32)
@@ -37,7 +32,7 @@ def runtime_pack(values, c2=None) -> PackedTensor:
     """A slice packed as the channels of one position, one group by default."""
     values = np.asarray(values, dtype=np.float32).reshape(-1)
     c = values.size
-    t = FloatTensor((1, c, 1, 1), Layout.NCHW, values)
+    t = FloatTensor((1, c, 1, 1), values)
     return pack_to_nc1hwc2(t, c2 or max(8, -(-c // 8) * 8))
 
 

@@ -24,7 +24,6 @@ from bnnkit.floatops import (
 )
 from bnnkit.kernels import BinMatrix, ConvParams, binary_direct_conv
 from bnnkit.layout import FloatTensor, Layout, pack_to_nc1hwc2
-from refeval import convert_layout
 
 
 def nhwc(values):
@@ -180,7 +179,7 @@ class TestConv2d:
         x = rng.standard_normal((1, 3, 4, 4)).astype(np.float32)
         w = rng.standard_normal((2, 3, 1, 1)).astype(np.float32)
         a = conv2d_f32(nchw(x), nchw(w))
-        b = conv2d_f32(convert_layout(nchw(x), Layout.NHWC), nchw(w))
+        b = conv2d_f32(nhwc(x.transpose(0, 2, 3, 1)), nchw(w))
         assert a == b
 
     def test_channel_mismatch(self, rng):
@@ -262,7 +261,7 @@ class TestOracleBinaryConv:
         out = oracle_binary_conv(nchw(x), nchw(w), params)
         assert set(out.data.tolist()) == {9.0}
         zero_pad = conv2d_f32(nchw(x), nchw(w), None, params)
-        assert zero_pad.array4d()[0, 0, 0, 0] == 4.0
+        assert zero_pad.nhwc_array()[0, 0, 0, 0] == 4.0
 
     def test_binarizes_by_sign_bit(self):
         x = np.array([[[[-0.0, 3.0]]]], np.float32)  # NHWC, c=2
@@ -505,7 +504,7 @@ class TestFlattenAndDense:
                 acc = np.float32(0.0 + bias[f])
                 for i in range(6):
                     acc = np.float32(acc + np.float32(x[img, 0, 0, i] * w[f, i]))
-                assert out.array4d()[img, 0, 0, f] == acc
+                assert out.nhwc_array()[img, 0, 0, f] == acc
 
     # VGG-small's classifier is 8192 x 10; specials there would make every
     # sum inf or NaN, so that case checks the order on normal values
@@ -521,7 +520,7 @@ class TestFlattenAndDense:
         with np.errstate(over="ignore", invalid="ignore"):
             out = fully_connected(nhwc(x.reshape(n, 1, 1, features)), w, bias)
             want = refeval.naive_fc(x, w, bias)
-        assert out.array4d().reshape(n, outputs).tobytes() == want.tobytes()
+        assert out.nhwc_array().reshape(n, outputs).tobytes() == want.tobytes()
 
     def test_fully_connected_blocks_of_outputs(self, rng, monkeypatch):
         # 2 images x (1 + 7) terms per output: blocks of 3, 3 and 1 outputs
@@ -532,7 +531,7 @@ class TestFlattenAndDense:
         with np.errstate(over="ignore", invalid="ignore"):
             out = fully_connected(nhwc(x.reshape(2, 1, 1, 7)), w, bias)
             want = refeval.naive_fc(x, w, bias)
-        assert out.array4d().reshape(2, 7).tobytes() == want.tobytes()
+        assert out.nhwc_array().reshape(2, 7).tobytes() == want.tobytes()
 
     def test_fully_connected_starts_from_zero_plus_bias(self):
         x = nhwc(np.full((2, 1, 1, 3), -0.0, np.float32))

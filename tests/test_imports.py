@@ -1,8 +1,9 @@
 """Every name a package module imports is used there or listed in its
-``__all__``, every ``__all__`` name is bound, and README's package table
-lists exactly the package's modules."""
+``__all__``, every ``__all__`` name is bound, README's package table lists
+exactly the package's modules, and float tensors have one storage order."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -58,3 +59,12 @@ def test_readme_lists_every_module():
     listed = re.findall(r"^\| `bnnkit\.(\w+)` \|", section, re.MULTILINE)
     modules = {p.stem for p in MODULES} - {"__main__"}
     assert sorted(listed) == sorted(modules)
+
+
+def test_float_tensor_has_one_storage_order():
+    """``FloatTensor`` is dims over NHWC data, with no storage-order field,
+    and ``Layout`` (``from_array``'s axis order) is not a package export."""
+    bnnkit = importlib.import_module("bnnkit")
+    fields = dataclasses.fields(bnnkit.FloatTensor)
+    assert tuple(f.name for f in fields) == ("dims", "data")
+    assert not hasattr(bnnkit, "Layout")

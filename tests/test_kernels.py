@@ -359,6 +359,27 @@ class TestDirectConv:
             want = dots.T.astype(np.float32).reshape(got.nhwc_array()[img].shape)
             assert got.nhwc_array()[img].tobytes() == want.tobytes()
 
+    # (kernel, channels, c2): kernel^2 * ceil(channels / word bits) xor steps,
+    # of which a uint8 partial holds 255 // word bits (3 for c2 = 128, 31 for 8)
+    WIDENING = {f"c2_128_steps_{s}": (1, 64 * s, 128) for s in range(1, 8)}
+    WIDENING |= {"c2_8_steps_45": (3, 40, 8), "c2_8_steps_65": (1, 520, 8)}
+
+    @pytest.mark.parametrize("case", list(WIDENING))
+    def test_widened_partial_sums_against_scalar_loop(self, case, rng):
+        """Popcounts summed in uint8 partials, then widened, give every step
+        count's exact dots, also with each popcount at its largest: filter 0
+        is all +1 and image 0 all negative."""
+        k, c, c2 = self.WIDENING[case]
+        x = rng.standard_normal((2, 3, 3, c)).astype(np.float32)
+        x[0] = -np.abs(x[0]) - 1
+        wv = rng.choice(np.array([-1.0, 1.0], np.float32), size=(2, c, k, k))
+        wv[0] = 1.0
+        params = ConvParams((k, k), c, padding=(k // 2, k // 2))
+        got = binary_direct_conv(packed_from_values(x, c2), _weight_matrix(wv, c2), params)
+        want = refeval.naive_conv(refeval.sign_values(x), wv, None, (1, 1), params.padding, 1.0)
+        assert got.nhwc_array().tobytes() == want.tobytes()
+        assert got.nhwc_array()[0, 1, 1, 0] == -k * k * c
+
     @pytest.mark.parametrize("n", [0, 2])
     def test_counts_shape_and_dtype(self, n, rng):
         x = rng.standard_normal((n, 5, 4, 20)).astype(np.float32)

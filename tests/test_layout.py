@@ -12,7 +12,7 @@ from bnnkit.layout import (
     group_count,
     pack_to_nc1hwc2,
 )
-from refeval import convert_layout, index_nc1hwc2, unpack_from_nc1hwc2
+from refeval import index_nc1hwc2, unpack_from_nc1hwc2
 
 
 class TestGroupBits:
@@ -68,46 +68,9 @@ class TestIndex:
                         assert refeval.packed_bit(p, group, bit) == want
 
 
-class TestConvertLayout:
-    def test_nchw_to_nhwc_permutation(self):
-        t = FloatTensor((1, 2, 1, 2), Layout.NCHW, np.array([1, 2, 3, 4], np.float32))
-        out = convert_layout(t, Layout.NHWC)
-        assert out.layout is Layout.NHWC
-        assert out.data.tolist() == [1, 3, 2, 4]
-
-    def test_round_trip(self, rng):
-        t = FloatTensor.from_array(
-            rng.standard_normal((2, 3, 4, 5)).astype(np.float32), Layout.NCHW
-        )
-        back = convert_layout(convert_layout(t, Layout.NHWC), Layout.NCHW)
-        assert back == t
-
-    def test_single_element_unchanged(self):
-        t = FloatTensor((1, 1, 1, 1), Layout.NCHW, np.array([7.0], np.float32))
-        assert convert_layout(t, Layout.NHWC).data.tolist() == [7.0]
-
-    def test_same_layout_is_identity(self):
-        t = FloatTensor((1, 1, 1, 1), Layout.NHWC, np.array([7.0], np.float32))
-        assert convert_layout(t, Layout.NHWC) is t
-
-    def test_values_preserved_per_position(self, rng):
-        a = rng.standard_normal((2, 3, 2, 2)).astype(np.float32)
-        t = FloatTensor.from_array(a, Layout.NCHW)
-        out = convert_layout(t, Layout.NHWC).array4d()
-        for n in range(2):
-            for c in range(3):
-                for h in range(2):
-                    for w in range(2):
-                        assert out[n, h, w, c] == a[n, c, h, w]
-
-
 class TestPack:
     def test_alternating_byte(self):
-        t = FloatTensor(
-            (1, 8, 1, 1),
-            Layout.NCHW,
-            np.array([-1, 1, -1, 1, -1, 1, -1, 1], np.float32),
-        )
+        t = FloatTensor((1, 8, 1, 1), np.array([-1, 1, -1, 1, -1, 1, -1, 1], np.float32))
         p = pack_to_nc1hwc2(t, 8)
         assert p.data.reshape(-1).tolist() == [0x55]
 
@@ -133,14 +96,23 @@ class TestPack:
     @pytest.mark.parametrize("layout", [Layout.NCHW, Layout.NHWC])
     def test_empty_tensors(self, dims, layout):
         n, c, h, w = dims
-        p = pack_to_nc1hwc2(FloatTensor(dims, layout, np.zeros(0, np.float32)), 8)
+        shape = dims if layout is Layout.NCHW else (n, h, w, c)
+        t = FloatTensor.from_array(np.zeros(shape, np.float32), layout)
+        assert t.dims == dims
+        p = pack_to_nc1hwc2(t, 8)
         assert p.data.shape == (n, group_count(c, 8), h, w, 1)
 
     def test_nhwc_and_nchw_pack_identically(self, rng):
-        a = rng.standard_normal((1, 6, 4, 4)).astype(np.float32)
-        nchw = FloatTensor.from_array(a, Layout.NCHW)
-        nhwc = convert_layout(nchw, Layout.NHWC)
-        assert pack_to_nc1hwc2(nchw, 8) == pack_to_nc1hwc2(nhwc, 8)
+        """An NCHW array is stored as its NHWC transpose: same dims, same
+        bytes, same packed bytes, also when an extent is 0."""
+        for shape in [(2, 6, 4, 5), (1, 130, 3, 2), (0, 3, 2, 2), (1, 0, 2, 2), (1, 9, 0, 3)]:
+            a = rng.standard_normal(shape).astype(np.float32)
+            nchw = FloatTensor.from_array(a, Layout.NCHW)
+            nhwc = FloatTensor.from_array(a.transpose(0, 2, 3, 1))
+            assert nchw.dims == nhwc.dims == shape
+            assert nchw.data.tobytes() == nhwc.data.tobytes()
+            for c2 in (8, 128):
+                assert pack_to_nc1hwc2(nchw, c2) == pack_to_nc1hwc2(nhwc, c2)
 
 
 class TestUnpack:
@@ -176,16 +148,11 @@ class TestUnpack:
 class TestTensorTypes:
     def test_float_tensor_rejects_bad_dims(self):
         with pytest.raises(ValueError):
-            FloatTensor((1, 2, 3), Layout.NCHW, np.zeros(6, np.float32))
+            FloatTensor((1, 2, 3), np.zeros(6, np.float32))
 
     def test_float_tensor_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            FloatTensor((1, 2, 3, 4), Layout.NCHW, np.zeros(5, np.float32))
-
-    def test_shape_follows_layout(self):
-        data = np.zeros(24, np.float32)
-        assert FloatTensor((1, 2, 3, 4), Layout.NCHW, data).shape == (1, 2, 3, 4)
-        assert FloatTensor((1, 2, 3, 4), Layout.NHWC, data).shape == (1, 3, 4, 2)
+            FloatTensor((1, 2, 3, 4), np.zeros(5, np.float32))
 
     def test_nhwc_array_transposes_nchw(self, rng):
         a = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
@@ -197,6 +164,6 @@ class TestTensorTypes:
             PackedTensor((1, 8, 1, 1), 8, np.zeros((1, 2, 1, 1, 1), np.uint8))
 
     def test_data_is_read_only(self):
-        t = FloatTensor((1, 1, 1, 1), Layout.NHWC, np.array([1.0], np.float32))
+        t = FloatTensor((1, 1, 1, 1), np.array([1.0], np.float32))
         with pytest.raises(ValueError):
             t.data[0] = 2.0
