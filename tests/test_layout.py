@@ -68,6 +68,30 @@ class TestIndex:
                         assert refeval.packed_bit(p, group, bit) == want
 
 
+class TestConvertLayout:
+    """An NCHW array is transposed into NHWC storage once, when it is wrapped."""
+
+    def test_nchw_to_nhwc_permutation(self):
+        a = np.array([1, 2, 3, 4], np.float32).reshape(1, 2, 1, 2)
+        t = FloatTensor.from_array(a, Layout.NCHW)
+        assert t.dims == (1, 2, 1, 2)
+        assert t.data.tolist() == [1, 3, 2, 4]
+
+    def test_single_element_unchanged(self):
+        t = FloatTensor.from_array(np.full((1, 1, 1, 1), 7.0, np.float32), Layout.NCHW)
+        assert t.dims == (1, 1, 1, 1)
+        assert t.data.tolist() == [7.0]
+
+    def test_values_preserved_per_position(self, rng):
+        a = rng.standard_normal((2, 3, 2, 2)).astype(np.float32)
+        out = FloatTensor.from_array(a, Layout.NCHW).nhwc_array()
+        for n in range(2):
+            for c in range(3):
+                for h in range(2):
+                    for w in range(2):
+                        assert out[n, h, w, c] == a[n, c, h, w]
+
+
 class TestPack:
     def test_alternating_byte(self):
         t = FloatTensor((1, 8, 1, 1), np.array([-1, 1, -1, 1, -1, 1, -1, 1], np.float32))
