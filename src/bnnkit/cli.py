@@ -22,6 +22,7 @@ The baselines the source paper measures against live here and nowhere else:
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
 import sys
@@ -31,7 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .convert import ConvertOptions, convert_model, pack_conv_weight, parse_interchange
+from .convert import (
+    ConvertOptions,
+    _decode_object,
+    convert_model,
+    pack_conv_weight,
+    parse_interchange,
+)
 from .kernels import BinMatrix, ConvParams, _conv_geometry, binary_direct_conv
 from .layout import FloatTensor, PackedTensor, group_count, pack_to_nc1hwc2
 from .modelfile import ModelFormatError, load_model, save_model
@@ -59,7 +66,9 @@ _CONV_CASES = {
     "small": [(16, 16, 8, 1), (32, 32, 6, 1)],
 }
 _NET_HW = {"full": 224, "small": 32}
-_SUITES = ("packing", "conv", "net")
+# (lists, tokens per list) of each parse-suite document
+_PARSE_SIZES = {"full": (4, 1 << 18), "small": (2, 1 << 12)}
+_SUITES = ("packing", "conv", "net", "parse")
 
 
 class CrossCheckError(RuntimeError):
@@ -280,6 +289,48 @@ def _bench_net(seed, hw, repeat) -> list[BenchRecord]:
     return _record_variants("net", f"birealnet18_{hw}", variants, repeat)
 
 
+def _parse_documents(rng, lists: int, count: int) -> dict[str, str]:
+    """Interchange documents, by case name, whose number lists take each
+    side of the raw-text reader: ±1 tokens, short tokens with 400 distinct
+    values per list, and long float tokens that leave every list to json."""
+    draws = {
+        "pm1": lambda: rng.choice([-1.0, 1.0], count),
+        "short": lambda: rng.integers(-200, 200, count) / 100,
+        "long": lambda: rng.standard_normal(count).astype(np.float32),
+    }
+    docs = {}
+    for kind, draw in draws.items():
+        inits = [
+            {"name": f"w{i}", "dims": [count], "values": draw().tolist()} for i in range(lists)
+        ]
+        doc = {"inputs": [{"name": "x", "dims": [1]}], "initializers": inits, "nodes": [], "output": "x"}
+        docs[f"{kind}_{lists}x{count}"] = json.dumps(doc)
+    return docs
+
+
+def _bench_parse(rng, sizes, repeat) -> list[BenchRecord]:
+    """json's decoder with the float32 object hook, the path every list
+    takes when the raw reader declines, against ``parse_interchange``."""
+    records = []
+    for case, text in _parse_documents(rng, *sizes).items():
+
+        def plain(t=text):
+            return json.loads(t, object_pairs_hook=_decode_object)
+
+        def parse(t=text):
+            return parse_interchange(t)
+
+        expected = {item["name"]: item["values"] for item in plain()["initializers"]}
+        got = parse().initializers
+        if got.keys() != expected.keys() or any(
+            got[k].dtype != v.dtype or got[k].tobytes() != v.tobytes() for k, v in expected.items()
+        ):
+            raise CrossCheckError(f"parse cross-check failed for {case}")
+        variants = [("json", plain), ("parse_interchange", parse)]
+        records.extend(_record_variants("parse", case, variants, repeat))
+    return records
+
+
 def _cmd_bench(args) -> int:
     if args.suite not in _SUITES:
         raise ValueError(f"unknown suite '{args.suite}' (choose from {', '.join(_SUITES)})")
@@ -296,8 +347,10 @@ def _cmd_bench(args) -> int:
     elif args.suite == "conv":
         records = _bench_conv(rng, _CONV_CASES[args.sizes], args.repeat)
         note = "note: bgemm_no_addv skips the final reduction; timing only, not valid for inference"
-    else:
+    elif args.suite == "net":
         records = _bench_net(seed, _NET_HW[args.sizes], args.repeat)
+    else:
+        records = _bench_parse(rng, _PARSE_SIZES[args.sizes], args.repeat)
     print("suite,case,variant,median_ns,ratio")
     for r in records:
         print(f"{r.suite},{r.case},{r.variant},{r.median_ns},{r.ratio:.6f}")
@@ -331,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("bench", help="run micro/macro benchmarks, CSV on stdout")
-    p.add_argument("--suite", required=True, help="packing, conv, or net")
+    p.add_argument("--suite", required=True, help="packing, conv, net, or parse")
     p.add_argument("--repeat", type=int, default=50, help="timed repetitions per variant")
     p.add_argument(
         "--sizes",

@@ -282,9 +282,11 @@ def _token_keys(chunk: str) -> np.ndarray | None:
     if "\0" in chunk:
         return None
     try:
-        text = np.frombuffer(chunk.encode("ascii"), np.uint8)
+        # 8 trailing NULs let the last token's 8-byte word read past its end
+        raw = (chunk + "\0" * 8).encode("ascii")
     except UnicodeEncodeError:
         return None
+    text = np.frombuffer(raw, np.uint8, len(chunk))
     commas = np.flatnonzero(text == ord(","))
     # json.dumps writes the same whitespace after every comma: " ", or a
     # newline and an indent.  Tokens start past that many bytes.  Tokens
@@ -294,18 +296,15 @@ def _token_keys(chunk: str) -> np.ndarray | None:
     gap = len(after) - len(after.lstrip(_WHITESPACE))
     starts = np.empty(len(commas) + 1, np.intp)
     starts[0] = 0
-    starts[1:] = commas + 1 + gap
+    np.add(commas, 1 + gap, out=starts[1:])
     lengths = np.empty_like(starts)
-    lengths[:-1] = commas
-    lengths[-1] = len(text)
-    lengths -= starts
+    np.subtract(commas, starts[:-1], out=lengths[:-1])
+    lengths[-1] = len(text) - starts[-1]
     if lengths.min() < 1 or lengths.max() > 8:
         return None
     if sum(np.count_nonzero(text == ord(c)) for c in _WHITESPACE) != gap * len(commas):
         return None
-    padded = np.zeros(len(text) + 8, np.uint8)
-    padded[: len(text)] = text
-    words = np.ndarray(len(text), "<u8", padded, strides=(1,))
+    words = np.ndarray(len(text), "<u8", raw, strides=(1,))
     return words[starts] & _KEY_MASKS[lengths]
 
 
@@ -321,6 +320,34 @@ def _read_tokens(keys: np.ndarray) -> list | None:
         _, frac, exp = match.groups()
         numbers.append(float(token) if frac or exp else int(token))
     return numbers
+
+
+def _index_of(distinct: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The position of each of ``keys`` in ``distinct``, the sorted distinct
+    keys that hold every one of them.
+
+    The table is ``distinct`` padded to a power of two with uint64 max as
+    the sentinel; no key equals it, since a key holds at most 8 ASCII bytes
+    and so is below 2^63.  The search walks the table's levels from the top
+    over all keys at once: a key moves up by the level's step where the
+    probe one step above its place is <= the key.  Every key starts in the
+    same place, so the first level is one compare with a scalar and a list
+    of two distinct tokens costs one compare pass.  Probes stay inside the
+    table, so ``take`` need not check them."""
+    size = 1 << (len(distinct) - 1).bit_length()
+    table = np.full(size, np.iinfo(np.uint64).max, np.uint64)
+    table[: len(distinct)] = distinct
+    dtype = np.min_scalar_type(size - 1)
+    step = size >> 1
+    index = np.multiply(keys >= table[step], step, dtype=dtype)
+    probe = np.empty(len(keys), np.uint64)
+    hit = np.empty(len(keys), bool)
+    up = np.empty(len(keys), dtype)
+    while step := step >> 1:
+        np.take(table[step:], index, out=probe, mode="clip")
+        np.less_equal(probe, keys, out=hit)
+        index += np.multiply(hit, step, out=up, dtype=dtype)
+    return index
 
 
 def _read_values(text: str, lo: int, close: int) -> np.ndarray | None:
@@ -350,8 +377,7 @@ def _read_values(text: str, lo: int, close: int) -> np.ndarray | None:
         numbers = _read_tokens(distinct)
         if numbers is None:
             return None
-        index = np.searchsorted(distinct, keys).astype(np.min_scalar_type(len(distinct)))
-        parts.append((np.asarray(numbers, dtype=np.float32), index))
+        parts.append((np.asarray(numbers, dtype=np.float32), _index_of(distinct, keys)))
         pos = end + 1
     values = np.empty(tokens, np.float32)
     at = 0

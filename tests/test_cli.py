@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnnkit.cli
+import bnnkit.convert
 import bnnkit.runtime
 from bnnkit.cli import main
 from bnnkit.layout import FloatTensor, Layout, PackedTensor
@@ -307,6 +308,28 @@ class TestBenchCommand:
         assert main(["bench", "--suite", "net", "--sizes", "small", "--repeat", "1"]) == 0
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0][:3] == ("net", "birealnet18_32", "engine")
+
+    def test_parse_suite_csv(self, capsys):
+        assert main(["bench", "--suite", "parse", "--sizes", "small", "--repeat", "1"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [(s, c, v) for s, c, v, _, _ in rows] == [
+            ("parse", f"{kind}_2x4096", variant)
+            for kind in ("pm1", "short", "long")
+            for variant in ("json", "parse_interchange")
+        ]
+        assert all(median > 0 for *_, median, _ in rows)
+        assert all(ratio == 1.0 for _, _, v, _, ratio in rows if v == "json")
+
+    def test_parse_suite_broken_reader_exit_1(self, capsys, monkeypatch):
+        real = bnnkit.convert._read_values
+
+        def broken(text, lo, close):
+            values = real(text, lo, close)
+            return None if values is None else np.negative(values)
+
+        monkeypatch.setattr(bnnkit.convert, "_read_values", broken)
+        assert main(["bench", "--suite", "parse", "--sizes", "small", "--repeat", "1"]) == 1
+        assert "parse cross-check failed for pm1_2x4096" in capsys.readouterr().err
 
     def test_unknown_suite_exit_1(self, capsys):
         assert main(["bench", "--suite", "mystery"]) == 1

@@ -429,6 +429,41 @@ class TestRawValueLists:
         assert convert._decode_cut(text) is None
         assert parse_outcome(text) == plain_outcome(text)
 
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 255, 256, 257, 4096])
+    def test_many_chunks_of_distinct_tokens(self, distinct):
+        # integers and halves, at most 7 bytes each, spread over about 3.5
+        # chunks; with "," as separator a chunk holds more than 8 tokens for
+        # each distinct one, so no chunk declines the list
+        alphabet = [
+            str(i // 2 - distinct // 4) + (".5" if i % 2 else "") for i in range(distinct)
+        ]
+        size = 7 * convert._CHUNK // (2 + 2 * sum(map(len, alphabet)) // distinct)
+        rng = np.random.default_rng(distinct)
+        tokens = [alphabet[i] for i in rng.permutation(np.arange(size) % distinct)]
+        values = "[" + ",".join(tokens) + "]"
+        assert len(values) > 2 * convert._CHUNK
+        text = self.one_list_doc(values, len(tokens))
+        assert convert._decode_cut(text) is not None
+        assert parse_outcome(text) == plain_outcome(text)
+
+
+class TestIndexOf:
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 255, 256, 257, 4096])
+    def test_against_searchsorted(self, distinct):
+        top = (1 << 63) - 1
+        rng = np.random.default_rng(distinct)
+        for ends in ([], [0], [top], [0, top]):
+            if len(ends) > distinct:
+                continue
+            drawn = set(ends)
+            while len(drawn) < distinct:
+                drawn.add(int(rng.integers(0, top, endpoint=True)))
+            table = np.array(sorted(drawn), np.uint64)
+            keys = table[rng.integers(0, distinct, 5000)]
+            index = convert._index_of(table, keys)
+            assert index.dtype == np.min_scalar_type(distinct - 1)
+            assert np.array_equal(index, np.searchsorted(table, keys))
+
 
 class TestDetection:
     def test_sign_fed_binary_weights_detected(self, rng):
