@@ -7,8 +7,10 @@ mismatched shapes, failed cross-checks, bad options), 2 I/O error
 ``error:`` line.  Argparse usage errors (``--sizes huge``, ``--c2 abc``)
 exit 2 through argparse itself.
 
-Benchmarks are single-threaded, report the median over the requested
-repetitions after one untimed warm-up, and cross-check variant outputs for
+The ``packing``, ``conv`` and ``parse`` benchmarks run on one thread; at
+224 px the ``net`` suite's float stem runs every other tile in one worker
+thread on 2 or more CPUs.  Each reports the median over the requested
+repetitions after one untimed warm-up and cross-checks variant outputs for
 equality before any timing.  Inputs derive from the ``BNN_SEED``
 environment variable (default 0), so runs are reproducible.  CSV schema:
 ``suite,case,variant,median_ns,ratio`` where ratio is the baseline median

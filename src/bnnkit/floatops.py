@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -41,11 +40,11 @@ __all__ = [
 # stem at 64 filters (8 bytes per position and filter) took 40.9 / 49.7 ms
 # (minimum / median of 15 interleaved in-process rounds) in 2048-position
 # tiles, against 49.6 / 59.1 ms in the 4096-position tiles that overflow it
-# (1536: 41.7 / 51.4 ms, 1024: 43.1 / 54.9 ms); split over two threads
-# (``_with_helper``) it took 26.3 / 33.3 ms.  Shorter tiles cost no more per
-# element only while the ufunc buffer is sized from them: at numpy's default
-# size, broadcast operands of rows under about 2730 elements are copied
-# through the buffer, at 2-4x the cost (``kernels._row_bufsize``).
+# (1536: 41.7 / 51.4 ms, 1024: 43.1 / 54.9 ms); split between the caller and
+# one worker thread (``_ordered_conv``) it took 26.3 / 33.3 ms.  Shorter tiles
+# cost no more per element only while the ufunc buffer is sized from them: at
+# numpy's default size, broadcast operands of rows under about 2730 elements
+# are copied through the buffer, at 2-4x the cost (``kernels._row_bufsize``).
 _TILE_BYTES = 1 << 20
 
 
@@ -54,31 +53,6 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _with_helper(work, helper_work) -> None:
-    """Calls ``work`` here and ``helper_work`` in one helper thread at once.
-
-    The helper runs in a copy of this thread's context, where numpy keeps its
-    errstate and ufunc buffer size.  It is joined before this returns or
-    raises, and an exception it raised is raised here.
-    """
-    context, failures = contextvars.copy_context(), []
-
-    def helper():
-        try:
-            context.run(helper_work)
-        except BaseException as exc:  # raised again in the calling thread
-            failures.append(exc)
-
-    thread = threading.Thread(target=helper, name="bnnkit-conv-tiles")
-    thread.start()
-    try:
-        work()
-    finally:
-        thread.join()
-    if failures:
-        raise failures[0]
 
 
 def _ordered_conv(
@@ -104,10 +78,12 @@ def _ordered_conv(
     (filters, positions), and the loop runs under a ufunc buffer sized from
     the shortest inner axis, so no multiply or add is buffered.
 
-    With two or more tiles and at least two usable CPUs, one helper thread
-    computes every other tile for the length of the call (``_with_helper``).
-    Each tile is computed whole by one thread in the same order, so the
-    split changes no output byte.
+    With two or more tiles and at least two usable CPUs, one
+    ``concurrent.futures`` worker computes every other tile for the length of
+    the call, in a copy of this thread's context, where numpy keeps its
+    errstate and ufunc buffer size; it is joined before the call returns, and
+    an exception it raised is raised here.  Each tile is computed whole by
+    one thread in the same order, so the split changes no output byte.
     """
     n, h, wd, c = x.shape
     m, kh, kw, wc = w.shape
@@ -131,15 +107,10 @@ def _ordered_conv(
     inner = m if wide else ((outh - 1) % rows + 1) * outw  # the last tile is the shortest
     tiles = [(img, y0) for img in range(n) for y0 in range(0, outh, rows)]
 
-    def scratch():
-        """Accumulator, product and plane buffers for one thread's tiles."""
-        return (
-            np.empty(m * rows * outw, dtype=np.float32),
-            np.empty(m * rows * outw, dtype=np.float32),
-            np.empty(rows * outw, dtype=np.float32),
-        )
-
-    def run(tiles, acc_buf, prod_buf, plane_buf):
+    def run(tiles):
+        acc_buf = np.empty(m * rows * outw, dtype=np.float32)
+        prod_buf = np.empty(m * rows * outw, dtype=np.float32)
+        plane_buf = np.empty(rows * outw, dtype=np.float32)
         for img, y0 in tiles:
             r = min(rows, outh - y0)
             shape = (r * outw, m) if wide else (m, r * outw)
@@ -161,11 +132,12 @@ def _ordered_conv(
     with np.errstate():
         np.setbufsize(_row_bufsize(inner))
         if len(tiles) > 1 and _cpus() > 1:
-            # each thread's scratch is allocated here, before the helper starts
-            helper = partial(run, tiles[1::2], *scratch())
-            _with_helper(partial(run, tiles[::2], *scratch()), helper)
+            with ThreadPoolExecutor(1, "bnnkit-conv-tiles") as pool:
+                helper = pool.submit(contextvars.copy_context().run, run, tiles[1::2])
+                run(tiles[::2])
+            helper.result()
         else:
-            run(tiles, *scratch())
+            run(tiles)
     return out
 
 

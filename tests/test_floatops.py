@@ -246,6 +246,21 @@ class TestTileSplit:
         assert len(helpers) == 2
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("count,started", [(2, 1), (1, 0), (None, 0)])
+    def test_cpu_count_without_affinity(self, count, started, rng, monkeypatch, helpers):
+        """Where ``os.sched_getaffinity`` is missing, ``os.cpu_count()`` decides."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        xs, ws, stride, pad = CONV_GEOMETRIES["batch_2"]
+        monkeypatch.setattr(floatops, "_TILE_BYTES", tile_budget(ws[0], 12))  # 6 tiles
+        x, w, bias = conv_operands(rng, xs, ws)
+        params = ConvParams(kernel=ws[2:], channels=ws[1], stride=stride, padding=pad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = conv2d_f32(nhwc(x), nchw(w), bias, params).nhwc_array()
+            want = refeval.naive_conv(x, w, bias, stride, pad, 0.0)
+        assert got.tobytes() == want.tobytes()
+        assert len(helpers) == started
+
 
 class TestOracleBinaryConv:
     def test_all_positive(self):

@@ -182,7 +182,8 @@ class TestUfuncState:
                 assert (np.getbufsize(), np.geterr()) == raising
             assert (np.getbufsize(), np.geterr()) == state
 
-    @pytest.mark.parametrize("row", [0, 1])  # in a tile of the calling thread, of the helper
+    # in a tile of the calling thread, of the helper, of both
+    @pytest.mark.parametrize("row", [0, 1, pytest.param([0, 1], id="both")])
     def test_helper_thread_state_and_errors_reach_the_caller(self, row, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(floatops, "_TILE_BYTES", 8 * 4 * 3)  # four tiles of one row
