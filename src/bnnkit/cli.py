@@ -7,14 +7,14 @@ mismatched shapes, failed cross-checks, bad options), 2 I/O error
 ``error:`` line.  Argparse usage errors (``--sizes huge``, ``--c2 abc``)
 exit 2 through argparse itself.
 
-The ``packing``, ``conv`` and ``parse`` benchmarks run on one thread; at
-224 px the ``net`` suite's float stem runs every other tile in one worker
-thread on 2 or more CPUs.  Each reports the median over the requested
-repetitions after one untimed warm-up and cross-checks variant outputs for
-equality before any timing.  Inputs derive from the ``BNN_SEED``
-environment variable (default 0), so runs are reproducible.  CSV schema:
-``suite,case,variant,median_ns,ratio`` where ratio is the baseline median
-divided by the variant median (higher means faster than baseline).
+``bench --suite NAME`` runs one row of ``_SUITES``: a runner and its cases by
+``--sizes``.  The runner draws its inputs from one generator seeded by the
+``BNN_SEED`` environment variable (default 0) and yields each case once its
+variants' outputs agree; each variant then reports its median over the
+repetitions after one untimed warm-up.  CSV schema:
+``suite,case,variant,median_ns,ratio``, ratio = baseline (first variant)
+median / variant median, higher is faster.  Only the ``net`` suite's float
+stem at 224 px uses a second thread, for every other tile, on 2+ CPUs.
 The baselines the source paper measures against live here and nowhere else:
 ``pack_naive``, a sequential packer, and BMXNet-style im2col + xnor-GEMM
 (``im2col_packed``, ``bgemm``, its timing variant ``bgemm_no_addv``, and
@@ -51,27 +51,6 @@ from .tensorio import TensorFileError, read_tensor, write_tensor
 EXIT_OK, EXIT_VALIDATION, EXIT_IO = 0, 1, 2
 # Prefixes ``main`` prints for error types whose message does not say what failed.
 _PREFIXES = {ModelFormatError: "bad model file: ", UnicodeDecodeError: "document is not UTF-8: "}
-
-_PACKING_CASES = {
-    "full": [(s, c) for s in (32, 64, 128) for c in (64, 128, 256)],
-    "small": [(8, 16), (8, 64), (16, 32)],
-}
-# (input channels, filters, spatial extent, stride) of a 3x3 binary conv
-_CONV_CASES = {
-    "full": [
-        (64, 64, 56, 1),
-        (128, 128, 28, 1),
-        (256, 256, 14, 1),
-        (512, 512, 7, 1),
-        (64, 128, 56, 2),
-    ],
-    "small": [(16, 16, 8, 1), (32, 32, 6, 1)],
-}
-_NET_HW = {"full": 224, "small": 32}
-# (lists, tokens per list) of each parse-suite document
-_PARSE_SIZES = {"full": (4, 1 << 18), "small": (2, 1 << 12)}
-_SUITES = ("packing", "conv", "net", "parse")
-
 
 class CrossCheckError(RuntimeError):
     """A benchmark variant disagreed with its baseline before timing."""
@@ -150,21 +129,18 @@ def pack_naive(values) -> np.ndarray:
     return np.array(out, dtype=np.uint8)
 
 
-def _bench_packing(rng, sizes, repeat) -> list[BenchRecord]:
+def _bench_packing(rng, cases):
     """Sequential baseline against the runtime packer with one group of c2 = c bits."""
-    records = []
-    for spatial, channels in sizes:
+    for spatial, channels in cases:
         case = f"{spatial}x{spatial}x{channels}"
         values = rng.standard_normal((1, spatial, spatial, channels)).astype(np.float32)
         tensor = FloatTensor.from_array(values)
         if pack_naive(values).tobytes() != pack_to_nc1hwc2(tensor, channels).data.tobytes():
             raise CrossCheckError(f"packing cross-check failed for {case}")
-        variants = [
+        yield case, [
             ("naive", lambda v=values: pack_naive(v)),
             ("nc1hwc2", lambda t=tensor, c=channels: pack_to_nc1hwc2(t, c)),
         ]
-        records.extend(_record_variants("packing", case, variants, repeat))
-    return records
 
 
 def _check_pair(a: BinMatrix, b: BinMatrix) -> None:
@@ -243,9 +219,10 @@ def match_to_dot(match, p: ConvParams, c2: int):
     return 2 * (match - pad_positions) - valid
 
 
-def _bench_conv(rng, cases, repeat) -> list[BenchRecord]:
+def _bench_conv(rng, cases):
+    """BMXNet-style im2col + xnor-GEMM against the direct kernel, 3x3 convs of
+    (input channels, filters, spatial extent, stride)."""
     c2 = 128
-    records = []
     for channels, filters, spatial, stride in cases:
         case = f"c{channels}_hw{spatial}"
         if (filters, stride) != (channels, 1):
@@ -270,29 +247,23 @@ def _bench_conv(rng, cases, repeat) -> list[BenchRecord]:
         flat = direct_out.data.reshape(-1, weight.rows).T
         if not np.array_equal(gemm_out.astype(np.int64), flat.astype(np.int64)):
             raise CrossCheckError(f"conv cross-check failed for {case}")
-        variants = [
-            ("bgemm", via_gemm),
-            ("direct", direct),
-            ("bgemm_no_addv", no_addv),
-        ]
-        records.extend(_record_variants("conv", case, variants, repeat))
-    return records
+        yield case, [("bgemm", via_gemm), ("direct", direct), ("bgemm_no_addv", no_addv)]
+    note = "note: bgemm_no_addv skips the final reduction; timing only, not valid for inference"
+    print(note, file=sys.stderr)
 
 
-def _bench_net(seed, hw, repeat) -> list[BenchRecord]:
-    model = build_birealnet18(np.random.default_rng(seed), input_hw=hw)
-    rng = np.random.default_rng(seed + 1)
-    x = FloatTensor.from_array(rng.standard_normal((1, hw, hw, 3)).astype(np.float32))
-    first = execute(model, x)
-    second = execute(model, x)
-    if first.data.tobytes() != second.data.tobytes():
-        raise CrossCheckError("whole-network runs are not deterministic")
-    variants = [("engine", lambda: execute(model, x))]
-    return _record_variants("net", f"birealnet18_{hw}", variants, repeat)
+def _bench_net(rng, cases):
+    """Bi-Real-Net-18 end to end at each input extent, after a determinism check."""
+    for hw in cases:
+        model = build_birealnet18(rng, input_hw=hw)
+        x = FloatTensor.from_array(rng.standard_normal((1, hw, hw, 3)).astype(np.float32))
+        if execute(model, x).data.tobytes() != execute(model, x).data.tobytes():
+            raise CrossCheckError("whole-network runs are not deterministic")
+        yield f"birealnet18_{hw}", [("engine", lambda m=model, t=x: execute(m, t))]
 
 
-def _parse_documents(rng, lists: int, count: int) -> dict[str, str]:
-    """Interchange documents, by case name, whose number lists take each
+def _parse_documents(rng, lists: int, count: int):
+    """Yield (case, text) interchange documents whose number lists take each
     side of the raw-text reader: ±1 tokens, short tokens with 400 distinct
     values per list, and long float tokens that leave every list to json."""
     draws = {
@@ -300,21 +271,20 @@ def _parse_documents(rng, lists: int, count: int) -> dict[str, str]:
         "short": lambda: rng.integers(-200, 200, count) / 100,
         "long": lambda: rng.standard_normal(count).astype(np.float32),
     }
-    docs = {}
     for kind, draw in draws.items():
         inits = [
             {"name": f"w{i}", "dims": [count], "values": draw().tolist()} for i in range(lists)
         ]
         doc = {"inputs": [{"name": "x", "dims": [1]}], "initializers": inits, "nodes": [], "output": "x"}
-        docs[f"{kind}_{lists}x{count}"] = json.dumps(doc)
-    return docs
+        yield f"{kind}_{lists}x{count}", json.dumps(doc)
 
 
-def _bench_parse(rng, sizes, repeat) -> list[BenchRecord]:
+def _bench_parse(rng, cases):
     """json's decoder with the float32 object hook, the path every list
-    takes when the raw reader declines, against ``parse_interchange``."""
-    records = []
-    for case, text in _parse_documents(rng, *sizes).items():
+    takes when the raw reader declines, against ``parse_interchange``, on
+    documents of (lists, tokens per list)."""
+    docs = (doc for lists, count in cases for doc in _parse_documents(rng, lists, count))
+    for case, text in docs:
 
         def plain(t=text):
             return json.loads(t, object_pairs_hook=_decode_object)
@@ -328,9 +298,35 @@ def _bench_parse(rng, sizes, repeat) -> list[BenchRecord]:
             got[k].dtype != v.dtype or got[k].tobytes() != v.tobytes() for k, v in expected.items()
         ):
             raise CrossCheckError(f"parse cross-check failed for {case}")
-        variants = [("json", plain), ("parse_interchange", parse)]
-        records.extend(_record_variants("parse", case, variants, repeat))
-    return records
+        yield case, [("json", plain), ("parse_interchange", parse)]
+
+
+# suite -> (runner, cases by --sizes); a runner takes (rng, cases) and yields
+# (case, [(label, fn), ...]), baseline first, once the case's cross-check passes.
+_SUITES = {
+    "packing": (
+        _bench_packing,
+        {
+            "full": [(s, c) for s in (32, 64, 128) for c in (64, 128, 256)],
+            "small": [(8, 16), (8, 64), (16, 32)],
+        },
+    ),
+    "conv": (
+        _bench_conv,
+        {
+            "full": [
+                (64, 64, 56, 1),
+                (128, 128, 28, 1),
+                (256, 256, 14, 1),
+                (512, 512, 7, 1),
+                (64, 128, 56, 2),
+            ],
+            "small": [(16, 16, 8, 1), (32, 32, 6, 1)],
+        },
+    ),
+    "net": (_bench_net, {"full": [224], "small": [32]}),
+    "parse": (_bench_parse, {"full": [(4, 1 << 18)], "small": [(2, 1 << 12)]}),
+}
 
 
 def _cmd_bench(args) -> int:
@@ -341,23 +337,16 @@ def _cmd_bench(args) -> int:
     seed_text = os.environ.get("BNN_SEED", "0").strip()
     if not seed_text.isdecimal():
         raise ValueError("BNN_SEED must be a non-negative integer")
-    seed = int(seed_text)
-    rng = np.random.default_rng(seed)
-    note = None
-    if args.suite == "packing":
-        records = _bench_packing(rng, _PACKING_CASES[args.sizes], args.repeat)
-    elif args.suite == "conv":
-        records = _bench_conv(rng, _CONV_CASES[args.sizes], args.repeat)
-        note = "note: bgemm_no_addv skips the final reduction; timing only, not valid for inference"
-    elif args.suite == "net":
-        records = _bench_net(seed, _NET_HW[args.sizes], args.repeat)
-    else:
-        records = _bench_parse(rng, _PARSE_SIZES[args.sizes], args.repeat)
+    runner, cases = _SUITES[args.suite]
+    rng = np.random.default_rng(int(seed_text))
+    records = [
+        record
+        for case, variants in runner(rng, cases[args.sizes])
+        for record in _record_variants(args.suite, case, variants, args.repeat)
+    ]
     print("suite,case,variant,median_ns,ratio")
     for r in records:
         print(f"{r.suite},{r.case},{r.variant},{r.median_ns},{r.ratio:.6f}")
-    if note:
-        print(note, file=sys.stderr)
     return EXIT_OK
 
 
@@ -386,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("bench", help="run micro/macro benchmarks, CSV on stdout")
-    p.add_argument("--suite", required=True, help="packing, conv, net, or parse")
+    p.add_argument("--suite", required=True, help=f"one of: {', '.join(_SUITES)}")
     p.add_argument("--repeat", type=int, default=50, help="timed repetitions per variant")
     p.add_argument(
         "--sizes",

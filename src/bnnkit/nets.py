@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convert import ConvertOptions, InterchangeGraph, InterchangeNode, convert_model
+from .convert import InterchangeGraph, InterchangeNode, convert_model
 from .runtime import PackedModel
 
 __all__ = ["birealnet18_graph", "build_birealnet18"]
 
 _STAGE_CHANNELS = (64, 128, 256, 512)
 _BLOCKS_PER_STAGE = 2
-_C2 = 128  # channel-group width of the packed binary filters
 _NUM_CLASSES = 1000  # ImageNet's classes
 
 
@@ -106,4 +105,4 @@ def build_birealnet18(
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     graph = birealnet18_graph(rng, input_hw)
-    return convert_model(graph, ConvertOptions(c2=_C2))[0]
+    return convert_model(graph)[0]

@@ -237,6 +237,27 @@ class TestParse:
         with pytest.raises(ConversionError, match="duplicate"):
             parse_interchange(doc)
 
+    def test_duplicate_initializer_name(self):
+        doc = make_doc(
+            inputs=[{"name": "x", "dims": [1, 1, 1, 1]}],
+            initializers=[init_entry("w", np.zeros(1)), init_entry("w", np.ones(1))],
+            nodes=[],
+            output="x",
+        )
+        message = r"^\$\.initializers\[1\]: duplicate initializer 'w'$"
+        with pytest.raises(ConversionError, match=message):
+            parse_interchange(doc)
+
+    def test_node_output_names_existing_value(self):
+        doc = make_doc(
+            inputs=[{"name": "x", "dims": [1, 1, 1, 1]}],
+            nodes=[{"op": "Relu", "name": "r", "inputs": ["x"], "outputs": ["x"]}],
+            output="x",
+        )
+        message = r"^\$\.nodes\[0\]: output 'x' already defined$"
+        with pytest.raises(ConversionError, match=message):
+            parse_interchange(doc)
+
     def test_conv_weight_must_be_initializer(self):
         doc = make_doc(
             inputs=[
@@ -428,6 +449,25 @@ class TestRawValueLists:
         text = self.one_list_doc("[" + ", ".join(["1.0"] * 31 + [token]) + "]", 32)
         assert convert._decode_cut(text) is None
         assert parse_outcome(text) == plain_outcome(text)
+
+    def test_raw_nul_leaves_list_to_json(self):
+        # an initializer's list only: json rejects any other copy of the span
+        doc = make_doc(
+            inputs=[{"name": "x", "dims": [1, 1, 1, 1]}],
+            initializers=[init_entry("w", np.ones(32))],
+            nodes=[],
+            output="x",
+        )
+        text = doc.replace("1.0]", "1\0]")
+        assert convert._decode_cut(text) is None
+        assert parse_outcome(text) == plain_outcome(text)
+        assert parse_outcome(text)[0] == "error"
+
+    def test_unclosed_values_list(self):
+        text = '{"initializers": [{"name": "w", "dims": [2], "values": [1.0, 1.0'
+        assert convert._decode_cut(text) is None
+        assert parse_outcome(text) == plain_outcome(text)
+        assert parse_outcome(text)[0] == "error"
 
     @pytest.mark.parametrize("distinct", [1, 2, 3, 255, 256, 257, 4096])
     def test_many_chunks_of_distinct_tokens(self, distinct):

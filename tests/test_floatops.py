@@ -435,6 +435,23 @@ class TestWindowValidity:
         with pytest.raises(ValueError, match="must be smaller than kernel"):
             op(self.X, self.W)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x, w, p: conv2d_f32(x, w, None, p),
+            lambda x, w, p: oracle_binary_conv(x, w, p),
+        ],
+        ids=["conv2d_f32", "oracle_binary_conv"],
+    )
+    @pytest.mark.parametrize(
+        "params,field",
+        [(ConvParams((3, 3), 1), "kernel"), (ConvParams((1, 1), 2), "channels")],
+        ids=["kernel", "channels"],
+    )
+    def test_params_disagreeing_with_weights_rejected(self, op, params, field):
+        with pytest.raises(ValueError, match=f"params {field} does not match weight extents"):
+            op(self.X, self.W, params)
+
     def test_largest_valid_padding_accepted(self):
         assert avgpool(self.X, (2, 2), (1, 1), (1, 1)).dims == (1, 1, 3, 3)
 

@@ -459,6 +459,19 @@ class TestBinMatrix:
         m = refeval.bin_matrix([[0x0102]], 16)
         assert m.data.reshape(-1).tolist() == [0x02, 0x01]
 
+    @pytest.mark.parametrize(
+        "rows,cols,shape,message",
+        [
+            (-1, 1, (0, 1, 1), "rows and cols must be non-negative"),
+            (1, -1, (1, 0, 1), "rows and cols must be non-negative"),
+            (1, 1, (1, 2, 1), "data shape does not match extents"),
+        ],
+        ids=["negative_rows", "negative_cols", "shape"],
+    )
+    def test_extents_validation(self, rows, cols, shape, message):
+        with pytest.raises(ValueError, match=message):
+            BinMatrix(rows, cols, 8, np.zeros(shape, np.uint8))
+
     @pytest.mark.parametrize("vec_bits", [0, 4, 12])
     def test_vec_bits_validation(self, vec_bits):
         with pytest.raises(ValueError):

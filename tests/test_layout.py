@@ -174,6 +174,10 @@ class TestTensorTypes:
         with pytest.raises(ValueError):
             FloatTensor((1, 2, 3), np.zeros(6, np.float32))
 
+    def test_from_array_rejects_3d(self):
+        with pytest.raises(ValueError, match="expected a 4-D array"):
+            FloatTensor.from_array(np.zeros((2, 3, 4), np.float32))
+
     def test_float_tensor_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             FloatTensor((1, 2, 3, 4), np.zeros(5, np.float32))

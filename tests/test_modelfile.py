@@ -127,6 +127,17 @@ def reseal(raw) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def with_extra_byte(raw: bytes, section: str) -> bytes:
+    """Append one zero byte to the graph or weight section, rebuilding its
+    length in the header and the CRC trailer."""
+    _, version, graph_len, weight_len = struct.unpack_from("<4sIIQ", raw)
+    end = 20 + graph_len + (weight_len if section == "weight" else 0)
+    graph_len += section == "graph"
+    weight_len += section == "weight"
+    header = struct.pack("<4sIIQ", MAGIC, version, graph_len, weight_len)
+    return reseal(header + raw[20:end] + b"\x00" + raw[end:])
+
+
 def assert_graphs_equal(a: Graph, b: Graph) -> None:
     assert a.nodes == b.nodes
     assert a.inputs == b.inputs
@@ -226,6 +237,25 @@ class TestCorruption:
         with pytest.raises(ModelFormatError, match="truncated payload"):
             deserialize_model(raw[:-3])
 
+    def test_header_shorter_than_20_bytes(self, tmp_path, capsys):
+        raw = serialize_model(tiny_model())[:19]
+        assert raw[:4] == MAGIC
+        with pytest.raises(ModelFormatError, match="truncated payload"):
+            deserialize_model(raw)
+        model, x = tmp_path / "m.dabn", tmp_path / "x.bin"
+        model.write_bytes(raw)
+        write_tensor(x, FloatTensor.from_array(np.zeros((1, 2, 2, 1), np.float32)))
+        assert main(["run", str(model), str(x)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: bad model file: truncated payload"]
+
+    @pytest.mark.parametrize("section", ["graph", "weight"])
+    def test_extra_byte_inside_section(self, section):
+        raw = with_extra_byte(serialize_model(tiny_model()), section)
+        with pytest.raises(ModelFormatError, match=f"malformed {section} section"):
+            deserialize_model(raw)
+
     def test_trailing_bytes(self):
         raw = serialize_model(tiny_model())
         with pytest.raises(ModelFormatError, match="trailing bytes"):
@@ -281,6 +311,23 @@ class TestHostileFiles:
         payload = raw.index(weight.matrix.data.tobytes())
         raw[payload + 8] |= 0x01  # channel 64 of the first group: a pad bit
         with pytest.raises(ModelFormatError, match="pad bits"):
+            deserialize_model(reseal(raw))
+
+    def test_packed_initializer_bad_group_width(self):
+        wv = np.ones((2, 3, 1, 1), np.float32)
+        graph = Graph(
+            nodes=(Node(OpKind.SIGN, "s", ("input",), "out"),),
+            inputs=(GraphInput("input", (1, 1, 2, 2)),),
+            initializers={"w": pack_conv_weight(wv, 8)},
+            output="out",
+        )
+        raw = bytearray(serialize_model(PackedModel(graph)))
+        (graph_len,) = struct.unpack_from("<I", raw, 8)
+        # past the initializer count, its name, kind, rank and four extents
+        c2_at = 20 + graph_len + 4 + 4 + 1 + 1 + 4 * 4
+        assert struct.unpack_from("<I", raw, c2_at) == (8,)
+        raw[c2_at : c2_at + 4] = struct.pack("<I", 0)
+        with pytest.raises(ModelFormatError, match="^invalid group width$"):
             deserialize_model(reseal(raw))
 
     def test_duplicate_initializer_name(self):

@@ -74,6 +74,18 @@ class TestExecute:
                 output="out",
             )
 
+    def test_failing_node_is_wrapped(self):
+        bn = {"g": 1.0, "b": 0.0, "mean": -3e38, "var": 1.0}
+        graph = Graph(
+            nodes=(Node(OpKind.BATCH_NORM, "bn", ("input",), "out", NodeAttrs(), tuple(bn)),),
+            inputs=(GraphInput("input", (1, 1, 1, 1)),),
+            initializers={k: np.full(1, v, np.float32) for k, v in bn.items()},
+            output="out",
+        )
+        with np.errstate(over="raise"), pytest.raises(GraphError, match="^node 'bn': ") as err:
+            execute(PackedModel(graph), input_tensor(np.full((1, 1, 1, 1), 3e38)))
+        assert isinstance(err.value.__cause__, FloatingPointError)
+
     def test_mixed_graph_matches_float_composition(self, rng):
         wv = rng.choice(np.array([-1.0, 1.0], np.float32), size=(12, 10, 3, 3))
         bn = {
