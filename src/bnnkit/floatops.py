@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from itertools import product
 
 import numpy as np
@@ -41,7 +41,8 @@ __all__ = [
 # (minimum / median of 15 interleaved in-process rounds) in 2048-position
 # tiles, against 49.6 / 59.1 ms in the 4096-position tiles that overflow it
 # (1536: 41.7 / 51.4 ms, 1024: 43.1 / 54.9 ms); split between the caller and
-# one worker thread (``_ordered_conv``) it took 26.3 / 33.3 ms.  Shorter tiles
+# one helper thread (``_ordered_conv``), each on scratch the caller allocates,
+# it took 26.3 / 33.3 ms.  Shorter tiles
 # cost no more per element only while the ufunc buffer is sized from them: at
 # numpy's default size, broadcast operands of rows under about 2730 elements
 # are copied through the buffer, at 2-4x the cost (``kernels._row_bufsize``).
@@ -78,12 +79,16 @@ def _ordered_conv(
     (filters, positions), and the loop runs under a ufunc buffer sized from
     the shortest inner axis, so no multiply or add is buffered.
 
-    With two or more tiles and at least two usable CPUs, one
-    ``concurrent.futures`` worker computes every other tile for the length of
-    the call, in a copy of this thread's context, where numpy keeps its
-    errstate and ufunc buffer size; it is joined before the call returns, and
-    an exception it raised is raised here.  Each tile is computed whole by
-    one thread in the same order, so the split changes no output byte.
+    With two or more tiles and at least two usable CPUs, one plain helper
+    thread computes every other tile for the length of the call, in a copy of
+    this thread's context, where numpy keeps its errstate and ufunc buffer
+    size.  This thread allocates the scratch of both, so the helper never
+    calls the allocator; the helper is joined before the call returns, and an
+    exception it raised is raised here.  Each tile is computed whole by one
+    thread in the same order, so the split changes no output byte.  A
+    standard-library thread pool cost Bi-Real-Net-18 about 2 MB of peak RSS:
+    its import (``logging``, ``queue`` and more) and its worker's own malloc
+    arena, which held the worker's scratch.
     """
     n, h, wd, c = x.shape
     m, kh, kw, wc = w.shape
@@ -107,10 +112,16 @@ def _ordered_conv(
     inner = m if wide else ((outh - 1) % rows + 1) * outw  # the last tile is the shortest
     tiles = [(img, y0) for img in range(n) for y0 in range(0, outh, rows)]
 
-    def run(tiles):
-        acc_buf = np.empty(m * rows * outw, dtype=np.float32)
-        prod_buf = np.empty(m * rows * outw, dtype=np.float32)
-        plane_buf = np.empty(rows * outw, dtype=np.float32)
+    def scratch():
+        """Accumulator, product and plane buffers for one thread's tiles."""
+        return (
+            np.empty(m * rows * outw, dtype=np.float32),
+            np.empty(m * rows * outw, dtype=np.float32),
+            np.empty(rows * outw, dtype=np.float32),
+        )
+
+    def run(tiles, buffers):
+        acc_buf, prod_buf, plane_buf = buffers
         for img, y0 in tiles:
             r = min(rows, outh - y0)
             shape = (r * outw, m) if wide else (m, r * outw)
@@ -132,12 +143,27 @@ def _ordered_conv(
     with np.errstate():
         np.setbufsize(_row_bufsize(inner))
         if len(tiles) > 1 and _cpus() > 1:
-            with ThreadPoolExecutor(1, "bnnkit-conv-tiles") as pool:
-                helper = pool.submit(contextvars.copy_context().run, run, tiles[1::2])
-                run(tiles[::2])
-            helper.result()
+            mine, theirs = scratch(), scratch()
+            raised = []
+
+            def helper():
+                try:
+                    run(tiles[1::2], theirs)
+                except BaseException as e:
+                    raised.append(e)
+
+            thread = threading.Thread(
+                target=contextvars.copy_context().run, args=(helper,), name="bnnkit-conv-tiles"
+            )
+            thread.start()
+            try:
+                run(tiles[::2], mine)
+            finally:
+                thread.join()
+            if raised:
+                raise raised[0]
         else:
-            run(tiles)
+            run(tiles, scratch())
     return out
 
 

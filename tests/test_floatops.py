@@ -246,6 +246,30 @@ class TestTileSplit:
         assert len(helpers) == 2
         assert outputs[0] == outputs[1]
 
+    def test_helper_allocates_nothing(self, rng, monkeypatch, helpers):
+        """The caller allocates the helper's tile scratch: no ``np.empty`` runs
+        on the helper thread, and the bytes are those of one CPU."""
+        xs, ws, stride, pad = CONV_GEOMETRIES["vgg_conv0_3x3_p1"]
+        monkeypatch.setattr(floatops, "_TILE_BYTES", tile_budget(ws[0], 18))  # 2 tiles of 3 rows
+        x, w, bias = conv_operands(rng, xs, ws)
+        params = ConvParams(kernel=ws[2:], channels=ws[1], stride=stride, padding=pad)
+        callers = []
+        empty = np.empty
+
+        def recorded(*args, **kwargs):
+            callers.append(threading.current_thread().name)
+            return empty(*args, **kwargs)
+
+        outputs = []
+        for cpus in (1, 2):
+            self.set_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(np, "empty", recorded)
+            outputs.append(self.conv_bytes(x, w, bias, params))
+            monkeypatch.setattr(np, "empty", empty)
+        assert len(helpers) == 2  # one per conv on two CPUs
+        assert set(callers) == {threading.current_thread().name}  # not bnnkit-conv-tiles
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("count,started", [(2, 1), (1, 0), (None, 0)])
     def test_cpu_count_without_affinity(self, count, started, rng, monkeypatch, helpers):
         """Where ``os.sched_getaffinity`` is missing, ``os.cpu_count()`` decides."""

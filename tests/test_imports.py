@@ -1,11 +1,14 @@
 """Every name a package module imports is used there or listed in its
 ``__all__``, every ``__all__`` name is bound, README's package table lists
-exactly the package's modules, and float tensors have one storage order."""
+exactly the package's modules, float tensors have one storage order, and
+importing the package loads no thread pool."""
 
 import ast
 import dataclasses
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,17 @@ def test_float_tensor_has_one_storage_order():
     fields = dataclasses.fields(bnnkit.FloatTensor)
     assert tuple(f.name for f in fields) == ("dims", "data")
     assert not hasattr(bnnkit, "Layout")
+
+
+def test_import_loads_no_thread_pool():
+    """``import bnnkit`` leaves ``concurrent.futures`` and the ``logging`` it
+    pulls in unloaded, in a fresh interpreter."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bnnkit; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
