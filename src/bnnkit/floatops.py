@@ -42,10 +42,10 @@ __all__ = [
 # tiles, against 49.6 / 59.1 ms in the 4096-position tiles that overflow it
 # (1536: 41.7 / 51.4 ms, 1024: 43.1 / 54.9 ms); split between the caller and
 # one helper thread (``_ordered_conv``), each on scratch the caller allocates,
-# it took 26.3 / 33.3 ms.  Shorter tiles
-# cost no more per element only while the ufunc buffer is sized from them: at
-# numpy's default size, broadcast operands of rows under about 2730 elements
-# are copied through the buffer, at 2-4x the cost (``kernels._row_bufsize``).
+# it took 26.3 / 33.3 ms.  Shorter tiles cost no more per element only while
+# the ufunc buffer is sized from them: at numpy's default size, broadcast
+# operands of rows under about 2730 elements are copied through the buffer,
+# at 2-4x the cost (``kernels._row_bufsize``).
 _TILE_BYTES = 1 << 20
 
 

@@ -260,12 +260,11 @@ class TestTileSplit:
             callers.append(threading.current_thread().name)
             return empty(*args, **kwargs)
 
+        monkeypatch.setattr(np, "empty", recorded)
         outputs = []
         for cpus in (1, 2):
             self.set_cpus(monkeypatch, cpus)
-            monkeypatch.setattr(np, "empty", recorded)
             outputs.append(self.conv_bytes(x, w, bias, params))
-            monkeypatch.setattr(np, "empty", empty)
         assert len(helpers) == 2  # one per conv on two CPUs
         assert set(callers) == {threading.current_thread().name}  # not bnnkit-conv-tiles
         assert outputs[0] == outputs[1]
