@@ -13,7 +13,9 @@ exit 2 through argparse itself.
 variants' outputs agree; each variant then reports its median over the
 repetitions after one untimed warm-up.  CSV schema:
 ``suite,case,variant,median_ns,ratio``, ratio = baseline (first variant)
-median / variant median, higher is faster.  Only the ``net`` suite's float
+median / variant median, higher is faster.  ``--json PATH`` also writes the
+records with the numpy and Python versions, usable CPUs, the BLAS thread
+setting, the seed and the commit.  Only the ``net`` suite's float
 stem at 224 px uses a second thread, for every other tile, on 2+ CPUs.
 The baselines the source paper measures against live here and nowhere else:
 ``pack_naive``, a sequential packer, and BMXNet-style im2col + xnor-GEMM
@@ -29,7 +31,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from .convert import (
     pack_conv_weight,
     parse_interchange,
 )
+from .floatops import _cpus
 from .kernels import BinMatrix, ConvParams, _conv_geometry, binary_direct_conv
 from .layout import FloatTensor, PackedTensor, group_count, pack_to_nc1hwc2
 from .modelfile import ModelFormatError, load_model, save_model
@@ -344,10 +347,48 @@ def _cmd_bench(args) -> int:
         for case, variants in runner(rng, cases[args.sizes])
         for record in _record_variants(args.suite, case, variants, args.repeat)
     ]
+    if args.json:
+        environment = {
+            "numpy": np.__version__,
+            "python": sys.version.split()[0],
+            "nproc": _cpus(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "bnn_seed": int(seed_text),
+            "commit": _git_commit(Path(__file__).resolve().parent),
+        }
+        doc = {
+            "suite": args.suite,
+            "sizes": args.sizes,
+            "repeat": args.repeat,
+            **environment,
+            "records": [asdict(r) for r in records],
+        }
+        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print("suite,case,variant,median_ns,ratio")
     for r in records:
         print(f"{r.suite},{r.case},{r.variant},{r.median_ns},{r.ratio:.6f}")
     return EXIT_OK
+
+
+def _git_commit(start: Path) -> str | None:
+    """The commit checked out in the nearest ``.git`` directory at or above
+    ``start``, read from its files without running git; None where there is
+    no such directory or it names no commit."""
+    git = next((d / ".git" for d in (start, *start.parents) if (d / ".git").is_dir()), None)
+    if git is None:
+        return None
+    try:
+        sha = (git / "HEAD").read_text(encoding="ascii").strip()
+        if sha.startswith("ref: "):
+            ref = sha[5:]
+            if (git / ref).is_file():
+                sha = (git / ref).read_text(encoding="ascii").strip()
+            else:
+                lines = (git / "packed-refs").read_text(encoding="ascii").splitlines()
+                sha = next((line.split()[0] for line in lines if line.endswith(" " + ref)), "")
+    except (OSError, UnicodeDecodeError):
+        return None
+    return sha if len(sha) in (40, 64) and not sha.strip("0123456789abcdef") else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,6 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("full", "small"),
         default="full",
         help="full-size cases or quick small ones",
+    )
+    p.add_argument(
+        "--json", metavar="PATH", help="also write the records and their environment as JSON"
     )
     p.set_defaults(fn=_cmd_bench)
     return parser

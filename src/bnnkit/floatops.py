@@ -72,10 +72,12 @@ def _ordered_conv(
     loop with the same nesting.
 
     Whole output rows are taken into a contiguous accumulator tile, as many
-    as keep the tile and its product buffer within ``_TILE_BYTES``; each tap
-    gathers its input plane into a contiguous buffer, multiplies it by the
-    tap's weights and adds the products into the tile.  The tile is
-    (positions, filters) when filters outnumber a tile's positions, else
+    as keep the tile and its product buffer within ``_TILE_BYTES``.  A tile
+    first fills a channel-planar slab with ``pad_value`` and copies in the
+    input rows its windows read, so no padded copy of the whole image exists;
+    each tap then gathers its plane from the slab into a contiguous buffer,
+    multiplies it by the tap's weights and adds the products into the tile.
+    The tile is (positions, filters) when filters outnumber a tile's positions, else
     (filters, positions), and the loop runs under a ufunc buffer sized from
     the shortest inner axis, so no multiply or add is buffered.
 
@@ -97,8 +99,6 @@ def _ordered_conv(
     sh, sw = p.stride
     ph, pw = p.padding
     outh, outw = p.out_extent(h, wd)
-    padded = np.full((n, c, h + 2 * ph, wd + 2 * pw), pad_value, dtype=np.float32)
-    padded[:, :, ph : ph + h, pw : pw + wd] = np.transpose(x, (0, 3, 1, 2))
     init = np.zeros(m, dtype=np.float32)
     if bias is not None:
         init += np.asarray(bias, dtype=np.float32)
@@ -113,17 +113,24 @@ def _ordered_conv(
     tiles = [(img, y0) for img in range(n) for y0 in range(0, outh, rows)]
 
     def scratch():
-        """Accumulator, product and plane buffers for one thread's tiles."""
+        """Accumulator, product, plane and padded-slab buffers for one thread's tiles."""
         return (
             np.empty(m * rows * outw, dtype=np.float32),
             np.empty(m * rows * outw, dtype=np.float32),
             np.empty(rows * outw, dtype=np.float32),
+            np.empty((c, sh * (rows - 1) + kh, wd + 2 * pw), dtype=np.float32),
         )
 
     def run(tiles, buffers):
-        acc_buf, prod_buf, plane_buf = buffers
+        acc_buf, prod_buf, plane_buf, slab_buf = buffers
         for img, y0 in tiles:
             r = min(rows, outh - y0)
+            # the tile's windows read input rows top, top + 1, ...; rows
+            # outside lo .. hi - 1 are padding
+            top, slab = sh * y0 - ph, slab_buf[:, : sh * (r - 1) + kh]
+            lo, hi = max(top, 0), min(top + slab.shape[1], h)
+            slab.fill(pad_value)
+            slab[:, lo - top : hi - top, pw : pw + wd] = np.transpose(x[img, lo:hi], (2, 0, 1))
             shape = (r * outw, m) if wide else (m, r * outw)
             acc = acc_buf[: m * r * outw].reshape(shape)
             prod = prod_buf[: m * r * outw].reshape(shape)
@@ -131,10 +138,9 @@ def _ordered_conv(
             acc[...] = init
             factor = plane[:, None] if wide else plane
             for (ci, kx, ky), tap in zip(product(range(c), range(kw), range(kh)), taps):
-                y = ky + sh * y0
                 np.copyto(
                     plane.reshape(r, outw),
-                    padded[img, ci, y : y + sh * r : sh, kx : kx + sw * outw : sw],
+                    slab[ci, ky : ky + sh * r : sh, kx : kx + sw * outw : sw],
                 )
                 np.multiply(factor, tap, out=prod)
                 np.add(acc, prod, out=acc)
@@ -210,9 +216,16 @@ def oracle_binary_conv(
     return FloatTensor.from_array(_ordered_conv(x, w, None, p, 1.0))
 
 
-def sign_op(input: FloatTensor) -> FloatTensor:
+# The elementwise ops below take a keyword-only ``out``: a writable NHWC array
+# of the output's shape, which only the runtime passes, to write into the
+# buffer of an input that no later step reads.  Each computes the same passes
+# in the same order either way, so ``out`` changes no byte.
+
+
+def sign_op(input: FloatTensor, *, out: np.ndarray | None = None) -> FloatTensor:
     """Elementwise binarization to ±1 by the raw sign bit (-0.0 -> -1)."""
-    return FloatTensor.from_array(signed_ones(input.nhwc_array().view(np.uint32)))
+    words = None if out is None else out.view(np.uint32)
+    return FloatTensor.from_array(signed_ones(input.nhwc_array().view(np.uint32), words))
 
 
 def bn_scale(var, eps: float) -> np.ndarray:
@@ -224,7 +237,14 @@ def bn_scale(var, eps: float) -> np.ndarray:
 
 
 def batchnorm(
-    input: FloatTensor, gamma, beta, mean, var, eps: float = 1e-5
+    input: FloatTensor,
+    gamma,
+    beta,
+    mean,
+    var,
+    eps: float = 1e-5,
+    *,
+    out: np.ndarray | None = None,
 ) -> FloatTensor:
     """Per-channel affine normalization: ((x - mean) / sqrt(var + eps)) * gamma + beta."""
     x = input.nhwc_array()
@@ -235,21 +255,24 @@ def batchnorm(
         if vec.shape != (c,):
             raise ValueError(f"{name} length does not match {c} channels")
     # the expression's four passes in the same order, in one output buffer
-    out = np.subtract(x, mu)
+    out = np.subtract(x, mu, out=out)
     np.divide(out, s, out=out)
     np.multiply(out, g, out=out)
     np.add(out, b, out=out)
     return FloatTensor.from_array(out)
 
 
-def relu(input: FloatTensor) -> FloatTensor:
-    return FloatTensor.from_array(np.maximum(input.nhwc_array(), np.float32(0.0)))
+def relu(input: FloatTensor, *, out: np.ndarray | None = None) -> FloatTensor:
+    return FloatTensor.from_array(np.maximum(input.nhwc_array(), np.float32(0.0), out=out))
 
 
-def add(a: FloatTensor, b: FloatTensor) -> FloatTensor:
+def add(a: FloatTensor, b: FloatTensor, *, out: np.ndarray | None = None) -> FloatTensor:
+    """Elementwise a + b.  ``out`` may be ``b``'s buffer, never ``a``'s: numpy
+    2.4 adds a one-element array into its own first operand through its
+    reduction loop, which keeps the other operand's bits where two NaNs meet."""
     if a.dims != b.dims:
         raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
-    return FloatTensor.from_array(a.nhwc_array() + b.nhwc_array())
+    return FloatTensor.from_array(np.add(a.nhwc_array(), b.nhwc_array(), out=out))
 
 
 def _pool_geometry(x, window, stride, padding):

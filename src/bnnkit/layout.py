@@ -164,6 +164,8 @@ def pack_to_nc1hwc2(t: FloatTensor, c2: int = 128) -> PackedTensor:
     return PackedTensor(t.dims, c2, np.packbits(grouped, axis=-1, bitorder="little"))
 
 
-def signed_ones(words: np.ndarray) -> np.ndarray:
-    """±1 float32: bit 31 of each uint32 word, the bit the packer packs, ORed into 1.0."""
-    return ((words & np.uint32(0x80000000)) | np.uint32(0x3F800000)).view(np.float32)
+def signed_ones(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """±1 float32: bit 31 of each uint32 word, the bit the packer packs, ORed
+    into 1.0; written into the uint32 array ``out`` when given."""
+    bits = np.bitwise_and(words, np.uint32(0x80000000), out=out)
+    return np.bitwise_or(bits, np.uint32(0x3F800000), out=bits).view(np.float32)

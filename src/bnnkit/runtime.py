@@ -146,14 +146,15 @@ class Graph:
 
     def _validate(self) -> None:
         """Build every node through ``_OPS`` into the plan ``execute`` walks:
-        per node, its run function and the activations it reads last."""
+        per node, its run function, the activations it reads last and the
+        input whose buffer it writes its output into (``_buffers``)."""
         if len(self.inputs) != 1:
             raise GraphError("model must declare exactly one input")
         dims = {gi.name: gi.dims for gi in self.inputs}
         last_reader: dict[str, int] = {}
         runs = []
         for i, node in enumerate(self.nodes):
-            arity, build = _OPS[node.kind]
+            arity, build, _ = _OPS[node.kind]
             try:
                 for src in node.inputs:
                     if src not in dims:
@@ -181,7 +182,33 @@ class Graph:
         dead: list[list[str]] = [[] for _ in runs]
         for name, i in last_reader.items():
             dead[i].append(name)
-        object.__setattr__(self, "_plan", tuple(zip(self.nodes, runs, dead)))
+        into = self._buffers(last_reader)
+        object.__setattr__(self, "_plan", tuple(zip(self.nodes, runs, dead, into)))
+
+    def _buffers(self, last_reader: dict[str, int]) -> list[str | None]:
+        """Per node, the input whose buffer it writes its output into, or None.
+
+        An elementwise step may write into the input its ``_OPS`` row names
+        when no later step reads that buffer.  A buffer is shared by a step
+        that wrote into it and by a Flatten output, which may be a view of its
+        input; the graph input's buffer is the caller's and is never written.
+        Initializers are never activations, so no step writes into one."""
+        end = len(self.nodes)  # the graph output is never released
+        owner: dict[str, str | None] = {self.inputs[0].name: None}  # activation -> buffer
+        last: dict[str, int] = {}  # buffer -> last step reading any activation in it
+        into: list[str | None] = []
+        for i, node in enumerate(self.nodes):
+            shares, src, buffer = _OPS[node.kind][2], None, node.output
+            if shares is _VIEW:
+                buffer = owner[node.inputs[0]]
+            elif shares is not None and last.get(owner[node.inputs[shares]]) == i:
+                src = node.inputs[shares]
+                buffer = owner[src]
+            owner[node.output] = buffer
+            if buffer is not None:
+                last[buffer] = max(last.get(buffer, i), last_reader.get(node.output, end))
+            into.append(src)
+        return into
 
     def __reduce__(self):
         # the plan holds closures, so a copy or unpickle builds it again
@@ -211,21 +238,36 @@ def execute(model: PackedModel, input: FloatTensor) -> FloatTensor:
     Bit-deterministic: identical model bytes and input bytes give identical
     output bytes.  Binary convolutions pack their input activations on the
     fly; everything else runs in float32.  Each activation is released after
-    its last reader has run.
+    its last reader has run, and an elementwise step (BatchNorm, Add, Sign,
+    Relu) whose input dies at that step writes its output into that input's
+    buffer instead of a new one.  ``input``'s data is never written: only
+    buffers the runtime allocated are reused.
     """
     graph = model.graph
     gi = graph.inputs[0]
     if tuple(input.dims) != gi.dims:
         raise GraphError(f"input dims {input.dims} do not match declared {gi.dims}")
     env: dict[str, FloatTensor] = {gi.name: input}
-    for node, run, dead in graph._plan:
+    for node, run, dead, into in graph._plan:
         try:
-            env[node.output] = run(*[env[src] for src in node.inputs])
+            if into is None:
+                env[node.output] = run(*[env[src] for src in node.inputs])
+            else:
+                env[node.output] = run(
+                    *[env[src] for src in node.inputs], out=_writable(env[into])
+                )
         except Exception as exc:
             raise GraphError(f"node '{node.name}': {exc}") from exc
         for name in dead:
             del env[name]
     return env[graph.output]
+
+
+def _writable(t: FloatTensor) -> np.ndarray:
+    """A writable NHWC view of an activation's buffer, which the runtime allocated."""
+    view = t.nhwc_array().view()
+    view.flags.writeable = True
+    return view
 
 
 def _floats(node: Node, weights: list, *counts: int) -> list[np.ndarray]:
@@ -288,7 +330,7 @@ def _batch_norm(node, weights, x):
     if np.any(var < 0):
         raise ValueError("negative variance")
     eps = 1e-5 if node.attrs.epsilon is None else node.attrs.epsilon
-    return x, lambda t: floatops.batchnorm(t, g, b, mu, var, eps)
+    return x, lambda t, **out: floatops.batchnorm(t, g, b, mu, var, eps, **out)
 
 
 def _threshold_sign(node, weights, x):
@@ -326,30 +368,43 @@ def _fully_connected(node, weights, x):
 def _add(node, weights, a, b):
     if a != b:
         raise ValueError(f"shape mismatch: {a} vs {b}")
-    return a, lambda s, t: floatops.add(s, t)
+    return a, lambda s, t, **out: floatops.add(s, t, **out)
 
 
 def _weightless(name: str, out_dims=lambda x: x):
     """Builder of a unary op without weights or attributes: ``floatops.<name>``."""
-    return lambda node, weights, x: (out_dims(x), lambda t: getattr(floatops, name)(t))
+    return lambda node, weights, x: (
+        out_dims(x),
+        lambda t, **out: getattr(floatops, name)(t, **out),
+    )
 
 
-# (data-input count, builder) per op kind.  ``build(node, weights, *input
-# dims) -> (output dims, run)`` raises ValueError for anything that does not
-# fit.  Run functions look up ``floatops.<name>``, ``binary_direct_conv`` and
+# The output of a Flatten step may be a view of its input.
+_VIEW = "view"
+
+# (data-input count, builder, buffer) per op kind.  ``build(node, weights,
+# *input dims) -> (output dims, run)`` raises ValueError for anything that
+# does not fit.  ``buffer`` is the input whose buffer an elementwise step may
+# write its output into when it dies there (``run(..., out=view)``), ``_VIEW``
+# or None.  Add writes only into its second operand (``floatops.add``).  Run
+# functions look up ``floatops.<name>``, ``binary_direct_conv`` and
 # ``pack_to_nc1hwc2`` when called, so a wrapper installed on those module
 # attributes sees every call.
 _OPS = {
-    OpKind.SIGN: (1, _weightless("sign_op")),
-    OpKind.BINARY_CONV: (1, _binary_conv),
-    OpKind.FLOAT_CONV: (1, _float_conv),
-    OpKind.BATCH_NORM: (1, _batch_norm),
-    OpKind.RELU: (1, _weightless("relu")),
-    OpKind.MAX_POOL: (1, _pool),
-    OpKind.AVG_POOL: (1, _pool),
-    OpKind.GLOBAL_AVG_POOL: (1, _weightless("global_avgpool", lambda x: (*x[:2], 1, 1))),
-    OpKind.ADD: (2, _add),
-    OpKind.FULLY_CONNECTED: (1, _fully_connected),
-    OpKind.FLATTEN: (1, _weightless("flatten", lambda x: (x[0], x[1] * x[2] * x[3], 1, 1))),
-    OpKind.THRESHOLD_SIGN: (1, _threshold_sign),
+    OpKind.SIGN: (1, _weightless("sign_op"), 0),
+    OpKind.BINARY_CONV: (1, _binary_conv, None),
+    OpKind.FLOAT_CONV: (1, _float_conv, None),
+    OpKind.BATCH_NORM: (1, _batch_norm, 0),
+    OpKind.RELU: (1, _weightless("relu"), 0),
+    OpKind.MAX_POOL: (1, _pool, None),
+    OpKind.AVG_POOL: (1, _pool, None),
+    OpKind.GLOBAL_AVG_POOL: (1, _weightless("global_avgpool", lambda x: (*x[:2], 1, 1)), None),
+    OpKind.ADD: (2, _add, 1),
+    OpKind.FULLY_CONNECTED: (1, _fully_connected, None),
+    OpKind.FLATTEN: (
+        1,
+        _weightless("flatten", lambda x: (x[0], x[1] * x[2] * x[3], 1, 1)),
+        _VIEW,
+    ),
+    OpKind.THRESHOLD_SIGN: (1, _threshold_sign, None),
 }

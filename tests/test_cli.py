@@ -359,6 +359,72 @@ class TestBenchCommand:
         assert "cross-check failed" in capsys.readouterr().err
 
 
+class TestBenchJson:
+    ENVIRONMENT = {"numpy", "python", "nproc", "openblas_num_threads", "bnn_seed", "commit"}
+
+    def test_schema(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BNN_SEED", "5")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        path = tmp_path / "BENCH_packing.json"
+        argv = ["bench", "--suite", "packing", "--sizes", "small", "--repeat", "1"]
+        assert main([*argv, "--json", str(path)]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert set(doc) == {"suite", "sizes", "repeat", "records"} | self.ENVIRONMENT
+        assert (doc["suite"], doc["sizes"], doc["repeat"]) == ("packing", "small", 1)
+        assert doc["numpy"] == np.__version__
+        assert doc["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert isinstance(doc["nproc"], int) and doc["nproc"] >= 1
+        assert (doc["openblas_num_threads"], doc["bnn_seed"]) == ("1", 5)
+        commit = doc["commit"]  # None in a copy of the tree without .git
+        assert commit is None or (len(commit) == 40 and not commit.strip("0123456789abcdef"))
+        records = doc["records"]
+        assert all(set(r) == {"suite", "case", "variant", "median_ns", "ratio"} for r in records)
+        assert [(r["suite"], r["case"], r["variant"], r["median_ns"]) for r in records] == [
+            row[:4] for row in rows
+        ]
+
+    def test_without_blas_setting(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        path = tmp_path / "b.json"
+        argv = ["bench", "--suite", "packing", "--sizes", "small", "--repeat", "1"]
+        assert main([*argv, "--json", str(path)]) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text(encoding="utf-8"))["openblas_num_threads"] is None
+
+    def test_unwritable_path_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "b.json"
+        argv = ["bench", "--suite", "packing", "--sizes", "small", "--repeat", "1"]
+        assert main([*argv, "--json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
+
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+
+    @pytest.mark.parametrize(
+        "files,want",
+        [
+            ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": SHA + "\n"}, SHA),
+            ({"HEAD": "ref: refs/heads/main\n", "packed-refs": f"# pack\n{SHA} refs/heads/main\n"}, SHA),
+            ({"HEAD": SHA + "\n"}, SHA),
+            ({"HEAD": "ref: refs/heads/gone\n"}, None),
+            ({"HEAD": "not a commit\n"}, None),
+            ({"HEAD": "ref: refs/heads/main\n", "refs/heads/main": b"\xff" * 40}, None),
+            ({}, None),
+        ],
+        ids=["loose_ref", "packed_ref", "detached", "missing_ref", "junk", "not_ascii", "no_head"],
+    )
+    def test_commit_read_from_git_files(self, tmp_path, files, want):
+        for name, content in files.items():
+            path = tmp_path / ".git" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        (tmp_path / ".git").mkdir(exist_ok=True)
+        nested = tmp_path / "src" / "pkg"
+        nested.mkdir(parents=True)
+        assert bnnkit.cli._git_commit(nested) == want
+
+
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         env = dict(os.environ)

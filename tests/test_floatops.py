@@ -24,6 +24,7 @@ from bnnkit.floatops import (
 )
 from bnnkit.kernels import BinMatrix, ConvParams, binary_direct_conv
 from bnnkit.layout import FloatTensor, Layout, pack_to_nc1hwc2
+from bnnkit.runtime import _OPS, OpKind
 
 
 def nhwc(values):
@@ -245,6 +246,27 @@ class TestTileSplit:
             outputs.append(self.conv_bytes(x, w, bias, params))
         assert len(helpers) == 2
         assert outputs[0] == outputs[1]
+
+    # (input NHWC, weights OIHW, stride, padding, output rows per tile): each
+    # tile's slab starts or ends in padding rows, padding up to kh - 1
+    SLAB_CASES = {
+        "one_row_tiles_padding_k_minus_1": ((1, 5, 6, 2), (3, 2, 3, 3), (1, 1), (2, 2), 1),
+        "one_row_tiles_stride_2": ((1, 7, 6, 2), (3, 2, 3, 3), (2, 2), (2, 2), 1),
+        "two_row_tiles_stride_2_ragged": ((1, 9, 5, 1), (2, 1, 5, 3), (2, 1), (4, 1), 2),
+        "one_row_tiles_stride_3_batch_2": ((2, 8, 4, 3), (2, 3, 4, 2), (3, 2), (3, 1), 1),
+    }
+
+    @pytest.mark.parametrize("case", list(SLAB_CASES))
+    def test_slab_tiles_in_the_padding(self, case, rng, monkeypatch, helpers):
+        """Both pad values against the scalar loop, on one CPU and on two."""
+        xs, ws, stride, pad, rows = self.SLAB_CASES[case]
+        outw = (xs[2] + 2 * pad[1] - ws[3]) // stride[1] + 1
+        monkeypatch.setattr(floatops, "_TILE_BYTES", tile_budget(ws[0], rows * outw))
+        operands = conv_operands(rng, xs, ws)
+        for cpus in (1, 2):
+            self.set_cpus(monkeypatch, cpus)
+            check_conv_bytes(*operands, stride, pad)
+        assert len(helpers) == 2  # the two convs on two CPUs: every case has several tiles
 
     def test_helper_allocates_nothing(self, rng, monkeypatch, helpers):
         """The caller allocates the helper's tile scratch: no ``np.empty`` runs
@@ -513,6 +535,60 @@ class TestElementwise:
     def test_add_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             add(nhwc(np.zeros((1, 1, 1, 1))), nhwc(np.zeros((1, 1, 1, 2))))
+
+
+class TestOutBuffer:
+    """``out=`` as the runtime passes it, the buffer of the input the step
+    reads, gives the bytes of a fresh output on NaNs of several payloads.
+    Lengths run from one element (numpy's reduction loop) past the SIMD
+    widths, so both the vector blocks and the remainder loop are covered."""
+
+    SHAPES = [(1, 1, 1, n) for n in (1, 2, 3, 7, 8, 15, 16, 17, 33)] + [(2, 3, 5, 7), (1, 7, 7, 64)]
+
+    @staticmethod
+    def draw(rng, shape):
+        return refeval.special_mix(rng, shape, 0.5, refeval.NAN_F32)
+
+    @staticmethod
+    def fresh_and_reused(op, operands, reused):
+        """Bytes of ``op`` on new tensors over ``operands`` with a fresh output,
+        and with ``out`` the buffer of operand ``reused``."""
+        arrays = [a.copy() for a in operands]
+        with np.errstate(all="ignore"):
+            fresh = op(*[nhwc(a) for a in operands]).data.tobytes()
+            tensors = [nhwc(a) for a in arrays]  # read-only views of ``arrays``
+            got = op(*tensors, out=arrays[reused]).data.tobytes()
+        return fresh, got
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_batchnorm(self, shape, rng):
+        c = shape[-1]
+        for _ in range(20):
+            g, b, mu = (self.draw(rng, (c,)) for _ in range(3))
+            var = np.abs(self.draw(rng, (c,)))
+
+            def op(t, **out):
+                return batchnorm(t, g, b, mu, var, 1e-5, **out)
+
+            fresh, got = self.fresh_and_reused(op, [self.draw(rng, shape)], 0)
+            assert got == fresh
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_add_into_its_second_operand(self, shape, rng):
+        # the one buffer the runtime's Add writes into: into its first
+        # operand, numpy 2.4 keeps the second NaN's bits for one element
+        assert _OPS[OpKind.ADD][2] == 1
+        for _ in range(20):
+            operands = [self.draw(rng, shape), self.draw(rng, shape)]
+            fresh, got = self.fresh_and_reused(add, operands, 1)
+            assert got == fresh
+
+    @pytest.mark.parametrize("op", [sign_op, relu], ids=["sign_op", "relu"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unary(self, op, shape, rng):
+        for _ in range(5):
+            fresh, got = self.fresh_and_reused(op, [self.draw(rng, shape)], 0)
+            assert got == fresh
 
 
 class TestGlobalAvgPool:

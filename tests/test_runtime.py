@@ -12,7 +12,14 @@ import pytest
 import refeval
 from bnnkit import floatops, runtime
 from bnnkit.cli import main
-from bnnkit.convert import ConvertOptions, convert_model, detect_binary_convs, pack_conv_weight
+from bnnkit.convert import (
+    ConvertOptions,
+    InterchangeGraph,
+    InterchangeNode,
+    convert_model,
+    detect_binary_convs,
+    pack_conv_weight,
+)
 from bnnkit.kernels import ConvParams
 from bnnkit.layout import FloatTensor, Layout
 from bnnkit.modelfile import ModelFormatError, deserialize_model, serialize_model
@@ -336,7 +343,7 @@ class TestValidation:
         graph = Graph(nodes, (GraphInput("t0", (1, 1, 1, 1)),), {}, f"t{n}")
         loaded = deserialize_model(serialize_model(PackedModel(graph)))
         assert time.perf_counter() - start < 5.0
-        assert [len(dead) for _, _, dead in loaded.graph._plan] == [1] * n
+        assert [len(dead) for _, _, dead, _ in loaded.graph._plan] == [1] * n
 
     def test_packed_weight_extent_check(self):
         matrix = pack_conv_weight(np.ones((2, 8, 1, 1), np.float32), 8).matrix
@@ -665,8 +672,8 @@ class TestPlan:
         produced = []
 
         def recording(fn):
-            def wrapper(*args):
-                out = fn(*args)
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
                 produced.append(out.data.nbytes)
                 return out
 
@@ -693,11 +700,14 @@ class TestPlan:
         assert peak < sum(produced)
 
     def test_inference_peak_without_input_sized_temporaries(self, rng):
-        # BatchNorm and max pooling allocate their output alone; a temporary
-        # per BatchNorm pass and a padded copy of pool1's input made 9.67 MB
+        # bn1 writes into the stem's output, so no step holds two stem-sized
+        # activations: bn1 held both, 6.46 MB, before elementwise steps wrote
+        # into their dying input; a temporary per BatchNorm pass and a padded
+        # copy of pool1's input made 9.67 MB before that
         model = build_birealnet18(np.random.default_rng(7))
         x = input_tensor(rng.standard_normal((1, 224, 224, 3)).astype(np.float32))
-        assert refeval.traced_peak(execute, model, x) < 7_000_000
+        stem_bytes = 64 * 112 * 112 * 4
+        assert refeval.traced_peak(execute, model, x) < 2 * stem_bytes  # 6,422,528 B
 
     def test_dense_scratch_below_activations(self, rng):
         # at 32 px the 512 -> 1000 classifier's products, 2.05 MB in one
@@ -706,7 +716,96 @@ class TestPlan:
         x = input_tensor(rng.standard_normal((1, 32, 32, 3)).astype(np.float32))
         peak = refeval.traced_peak(execute, model, x)
         env, produced = {model.graph.inputs[0].name: x}, 0
-        for node, run, _ in model.graph._plan:
+        for node, run, _, _ in model.graph._plan:
             env[node.output] = run(*[env[src] for src in node.inputs])
             produced += env[node.output].data.nbytes
         assert peak < produced
+
+
+def elementwise_graph(dims, *nodes) -> InterchangeGraph:
+    """A graph over input ``x`` of (n, c, h, w) ``dims`` from (op, output,
+    inputs) triples, the last one its output; a BatchNormalization reads the
+    tables ``g``, ``b``, ``m`` and ``v`` after its one input."""
+    rng = np.random.default_rng(3)
+    c = dims[1]
+    tables = dict(zip("gbm", rng.standard_normal((3, c)).astype(np.float32)))
+    tables["v"] = rng.uniform(0.5, 2.0, c).astype(np.float32)
+    body = tuple(
+        InterchangeNode(op, out, ins + ("g", "b", "m", "v") * (op == "BatchNormalization"), out, {})
+        for op, out, ins in nodes
+    )
+    return InterchangeGraph((("x", dims),), tables, body, nodes[-1][1])
+
+
+class TestBufferReuse:
+    """An elementwise step writes into the buffer of an input that dies there,
+    but never into the caller's input or a buffer a live activation shares."""
+
+    @staticmethod
+    def run_checked(graph, rng):
+        """Execute ``graph`` converted on an input holding NaNs of several
+        payloads; return the plan's reused input per node."""
+        model, _ = convert_model(graph, ConvertOptions())
+        values = refeval.special_mix(rng, graph.inputs[0][1], 0.3, refeval.NAN_F32)
+        x = FloatTensor.from_array(values, Layout.NCHW)
+        array = x.nhwc_array().base  # writable: a buffer the runtime could write
+        before = array.tobytes()
+        with np.errstate(all="ignore"):
+            got = execute(model, x)
+            want = refeval.reference_eval(graph, x)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert array.tobytes() == before
+        return {node.name: into for node, _, _, into in model.graph._plan}
+
+    def test_graph_input_is_never_written(self, rng):
+        graph = elementwise_graph(
+            (1, 3, 4, 5),
+            ("BatchNormalization", "bn", ("x",)),
+            ("Relu", "r", ("bn",)),
+            ("Add", "add", ("r", "x")),
+            ("Sign", "s", ("add",)),
+        )
+        assert self.run_checked(graph, rng) == {"bn": None, "r": "bn", "add": None, "s": "add"}
+
+    def test_input_read_again_later_is_kept(self, rng):
+        graph = elementwise_graph(
+            (2, 4, 3, 3),
+            ("Relu", "a", ("x",)),
+            ("BatchNormalization", "bn", ("a",)),  # the shortcut reads a below
+            ("Sign", "s", ("bn",)),
+            ("Add", "add", ("s", "a")),
+        )
+        assert self.run_checked(graph, rng) == {"a": None, "bn": None, "s": "bn", "add": "a"}
+
+    def test_flatten_view_of_a_live_activation_is_kept(self, rng):
+        x = FloatTensor.from_array(np.ones((1, 1, 1, 6), np.float32))
+        assert np.shares_memory(floatops.flatten(x).data, x.data)  # a view when h = w = 1
+        graph = elementwise_graph(
+            (1, 6, 1, 1),
+            ("Relu", "a", ("x",)),
+            ("Flatten", "f", ("a",)),
+            ("Sign", "s", ("f",)),  # f dies here, but its buffer is a's
+            ("Add", "add", ("s", "a")),
+        )
+        assert self.run_checked(graph, rng) == {"a": None, "f": None, "s": None, "add": "a"}
+
+    def test_batchnorm_then_add_reuse_one_buffer(self, rng, monkeypatch):
+        graph = elementwise_graph(
+            (1, 5, 6, 7),
+            ("Relu", "a", ("x",)),
+            ("BatchNormalization", "bn", ("a",)),
+            ("Relu", "r", ("x",)),
+            ("Add", "add", ("r", "bn")),
+        )
+        assert self.run_checked(graph, rng) == {"a": None, "bn": "a", "r": None, "add": "bn"}
+        relus, real = [], floatops.relu
+
+        def recording(t, **out):
+            relus.append(real(t, **out))
+            return relus[-1]
+
+        monkeypatch.setattr(floatops, "relu", recording)
+        model, _ = convert_model(graph, ConvertOptions())
+        out = execute(model, input_tensor(rng.standard_normal((1, 6, 7, 5))))
+        assert np.shares_memory(out.data, relus[0].data)
+        assert not np.shares_memory(out.data, relus[1].data)
